@@ -23,9 +23,11 @@
 //! acyclic (doubly acyclic queries, §5.3).
 
 use crate::report::{MultiplicityTable, SensitivityReport};
+use std::sync::atomic::AtomicU64;
 use tsens_data::{Database, EncodedRelation, Schema, TsensError};
 use tsens_engine::ops::multiway_join_enc;
 use tsens_engine::session::{EngineSession, QueryPasses};
+use tsens_engine::Pool;
 use tsens_query::{ConjunctiveQuery, DecompositionTree};
 
 /// Group schemas into connected components of their overlap graph
@@ -74,7 +76,7 @@ pub(crate) fn assemble_table_enc(
     let mut factors: Vec<EncodedRelation> = Vec::new();
     for comp in schema_components(&schemas) {
         let members: Vec<&EncodedRelation> = comp.iter().map(|&i| inputs[i]).collect();
-        let joined = multiway_join_enc(&members);
+        let joined = multiway_join_enc(&members, &Pool::sequential(), &AtomicU64::new(0));
         let covered = atom.schema.intersect(joined.schema());
         factors.push(joined.group(&covered));
     }
@@ -261,71 +263,6 @@ pub fn tsens_with_skips(
 ) -> SensitivityReport {
     tsens_with_skips_session(&EngineSession::for_query(db, cq), cq, tree, skip_atoms)
         .expect("one-shot sessions are resident over their query")
-}
-
-/// [`tsens_with_skips_session`] with the per-relation multiplicity tables
-/// computed on an explicitly sized worker pool over one shared session
-/// pass state. The tables are independent given the shared ⊤/⊥ passes, so
-/// this parallelises the only super-linear step of Algorithm 2 (Theorem
-/// 5.1's `O(m d n^d log n)` term). Results are bit-identical to the
-/// sequential version. Always computes (no report-cache read): callers
-/// ask for it explicitly to exercise the parallel path.
-///
-/// The `(node, atom)` work items run through
-/// [`tsens_engine::pool::Pool::run`]'s chunked work queue — the old
-/// hand-rolled round-robin bucketing, which assigned each thread a fixed
-/// stride regardless of how skewed the per-atom table costs were, is
-/// retired onto the shared pool primitive.
-///
-/// # Errors
-/// [`TsensError::ZeroThreads`] when `threads == 0` (the request-path
-/// replacement for the old `assert!`), plus the usual residency errors.
-pub fn tsens_parallel_session(
-    session: &EngineSession<'_>,
-    cq: &ConjunctiveQuery,
-    tree: &DecompositionTree,
-    skip_atoms: &[usize],
-    threads: usize,
-) -> Result<SensitivityReport, TsensError> {
-    let pool = tsens_engine::Pool::new(threads)?;
-    let passes = session.passes(cq, tree)?;
-    let tops = passes.tops(tree);
-    let mut items: Vec<(usize, usize)> = Vec::with_capacity(cq.atom_count());
-    for v in 0..tree.bag_count() {
-        for &ai in &tree.bags()[v].atoms {
-            if !skip_atoms.contains(&ai) {
-                items.push((v, ai));
-            }
-        }
-    }
-    let passes_ref = &*passes;
-    let mut per_relation: Vec<crate::report::RelationSensitivity> = pool.run(items.len(), |k| {
-        let (v, ai) = items[k];
-        let table = table_for_atom(cq, tree, passes_ref, tops, v, ai);
-        table.max_sensitivity(&cq.atoms()[ai].schema)
-    });
-    per_relation.sort_by_key(|rs| rs.relation);
-    Ok(SensitivityReport::from_per_relation(per_relation))
-}
-
-/// [`tsens_parallel_session`] as a one-shot call (fresh session).
-///
-/// # Errors
-/// [`TsensError::ZeroThreads`] when `threads == 0`.
-pub fn tsens_parallel(
-    db: &Database,
-    cq: &ConjunctiveQuery,
-    tree: &DecompositionTree,
-    skip_atoms: &[usize],
-    threads: usize,
-) -> Result<SensitivityReport, TsensError> {
-    tsens_parallel_session(
-        &EngineSession::for_query(db, cq),
-        cq,
-        tree,
-        skip_atoms,
-        threads,
-    )
 }
 
 #[cfg(test)]
@@ -528,39 +465,6 @@ mod tests {
         let single = multiplicity_table_for(&db, &q, &tree, 2);
         assert_eq!(single.materialise(), all[2].materialise());
         assert_eq!(single.covered, all[2].covered);
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let (db, q, tree) = figure1();
-        let seq = tsens(&db, &q, &tree);
-        for threads in [1, 2, 4] {
-            let par = tsens_parallel(&db, &q, &tree, &[], threads).expect("threads > 0");
-            assert_eq!(par.local_sensitivity, seq.local_sensitivity);
-            for (a, b) in par.per_relation.iter().zip(seq.per_relation.iter()) {
-                assert_eq!(a.relation, b.relation);
-                assert_eq!(a.sensitivity, b.sensitivity);
-                assert_eq!(a.witness, b.witness);
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_zero_threads_is_typed_error() {
-        let (db, q, tree) = figure1();
-        assert_eq!(
-            tsens_parallel(&db, &q, &tree, &[], 0).err(),
-            Some(TsensError::ZeroThreads)
-        );
-    }
-
-    #[test]
-    fn parallel_respects_skips() {
-        let (db, q, tree) = figure1();
-        let seq = tsens_with_skips(&db, &q, &tree, &[0]);
-        let par = tsens_parallel(&db, &q, &tree, &[0], 3).expect("threads > 0");
-        assert_eq!(par.local_sensitivity, seq.local_sensitivity);
-        assert!(par.per_relation.iter().all(|rs| rs.relation != 0));
     }
 
     #[test]

@@ -13,37 +13,18 @@
 //! `bench_ablation` benchmark.
 
 use crate::report::SensitivityReport;
-use tsens_data::{Count, CountedRelation, Database, EncodedRelation, TsensError};
+use std::sync::atomic::AtomicU64;
+use tsens_data::{Count, Database, EncodedRelation, TsensError};
 use tsens_engine::ops::lookup_join_enc;
-use tsens_engine::passes::bag_relations_from_arcs;
+use tsens_engine::passes::bag_relations_from_arcs_pooled;
 use tsens_engine::session::EngineSession;
+use tsens_engine::Pool;
 use tsens_query::{ConjunctiveQuery, DecompositionTree};
 
 /// Round every count below the k-th largest up to the k-th largest
 /// (keeping the top-k counts exact). Identity when the relation has at
-/// most `k` entries.
-///
-/// # Panics
-/// Panics if `k == 0`.
-pub fn cap_top_k(rel: &CountedRelation, k: usize) -> CountedRelation {
-    assert!(k > 0, "top-k capping needs k ≥ 1");
-    if rel.len() <= k {
-        return rel.clone();
-    }
-    let mut counts: Vec<Count> = rel.iter().map(|(_, c)| *c).collect();
-    counts.sort_unstable_by(|a, b| b.cmp(a));
-    let kth = counts[k - 1];
-    CountedRelation::from_pairs(
-        rel.schema().clone(),
-        rel.iter()
-            .map(|(row, c)| (row.clone(), (*c).max(kth)))
-            .collect(),
-    )
-}
-
-/// [`cap_top_k`] over an encoded summary: counts below the k-th largest
-/// are rounded up to it; rows (already distinct and sorted) are
-/// unchanged, so the capped relation stays canonical.
+/// most `k` entries; rows (already distinct and sorted) are unchanged, so
+/// the capped relation stays canonical.
 ///
 /// # Panics
 /// Panics if `k == 0`.
@@ -101,7 +82,8 @@ fn tsens_topk_uncached(
     k: usize,
 ) -> Result<SensitivityReport, TsensError> {
     let lifted = session.lift_query(cq)?;
-    let bags = bag_relations_from_arcs(&lifted, tree);
+    let bags =
+        bag_relations_from_arcs_pooled(&lifted, tree, &Pool::sequential(), &AtomicU64::new(0));
 
     // Capped ⊥ pass.
     let mut bots: Vec<Option<EncodedRelation>> = vec![None; tree.bag_count()];
@@ -187,39 +169,35 @@ mod tests {
         (db, q, tree)
     }
 
+    /// A one-column encoded relation with the given `(code, count)` rows.
+    fn column(entries: &[(u32, Count)]) -> EncodedRelation {
+        let mut rel = EncodedRelation::new(Schema::new(vec![tsens_data::AttrId(0)]));
+        for &(code, c) in entries {
+            rel.push(&[code], c);
+        }
+        rel
+    }
+
     #[test]
     fn cap_is_identity_when_k_covers_all() {
-        let rel = CountedRelation::from_pairs(
-            Schema::new(vec![tsens_data::AttrId(0)]),
-            vec![(vec![Value::Int(1)], 5), (vec![Value::Int(2)], 3)],
-        );
-        assert_eq!(cap_top_k(&rel, 2), rel);
-        assert_eq!(cap_top_k(&rel, 10), rel);
+        let rel = column(&[(1, 5), (2, 3)]);
+        assert_eq!(cap_top_k_enc(&rel, 2), rel);
+        assert_eq!(cap_top_k_enc(&rel, 10), rel);
     }
 
     #[test]
     fn cap_rounds_tail_up_to_kth() {
-        let rel = CountedRelation::from_pairs(
-            Schema::new(vec![tsens_data::AttrId(0)]),
-            vec![
-                (vec![Value::Int(1)], 10),
-                (vec![Value::Int(2)], 7),
-                (vec![Value::Int(3)], 2),
-                (vec![Value::Int(4)], 1),
-            ],
+        let rel = column(&[(1, 10), (2, 7), (3, 2), (4, 1)]);
+        assert_eq!(
+            cap_top_k_enc(&rel, 2),
+            column(&[(1, 10), (2, 7), (3, 7), (4, 7)])
         );
-        let capped = cap_top_k(&rel, 2);
-        assert_eq!(capped.count_of(&[Value::Int(1)]), 10);
-        assert_eq!(capped.count_of(&[Value::Int(2)]), 7);
-        assert_eq!(capped.count_of(&[Value::Int(3)]), 7);
-        assert_eq!(capped.count_of(&[Value::Int(4)]), 7);
     }
 
     #[test]
     #[should_panic(expected = "k ≥ 1")]
     fn zero_k_rejected() {
-        let rel = CountedRelation::new(Schema::empty());
-        let _ = cap_top_k(&rel, 0);
+        let _ = cap_top_k_enc(&EncodedRelation::new(Schema::empty()), 0);
     }
 
     #[test]

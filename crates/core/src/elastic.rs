@@ -146,9 +146,13 @@ impl<'a> MfOracle<'a> {
             return self.bump_private(rel, c);
         }
         let mf = match self.source {
-            BaseMf::Db => scanned_mf(std::iter::once(self.db.relation(rel)), x),
+            BaseMf::Db => scanned_mf(&[self.db.relation(rel)], x),
             BaseMf::Shards(sessions) => {
-                scanned_mf(sessions.iter().map(|s| s.database().relation(rel)), x)
+                let rels: Vec<&Relation> = sessions
+                    .iter()
+                    .map(|s| s.database().relation(rel))
+                    .collect();
+                scanned_mf(&rels, x)
             }
             BaseMf::Session(_) => unreachable!("handled above"),
         };
@@ -248,10 +252,11 @@ impl<'a> MfOracle<'a> {
 /// with a single relation, the textbook scan; with several (the shard
 /// path) an exact merge: one shared frequency map accumulates every
 /// shard's `x`-projections, so a value split across shards counts its
-/// **global** multiplicity. `∅` sums the table sizes.
-fn scanned_mf<'r>(rels: impl Iterator<Item = &'r Relation>, x: &AttrSet) -> Count {
+/// **global** multiplicity. `∅` sums the table sizes. A slice rather
+/// than an iterator, so both callers share one compiled scan loop.
+fn scanned_mf(rels: &[&Relation], x: &AttrSet) -> Count {
     if x.is_empty() {
-        return rels.fold(0, |acc, r| sat_add(acc, r.len() as Count));
+        return rels.iter().fold(0, |acc, r| sat_add(acc, r.len() as Count));
     }
     let mut counts: FastMap<Row, Count> = FastMap::default();
     let mut max = 0;

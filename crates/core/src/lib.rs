@@ -44,8 +44,7 @@ pub mod sharded;
 
 pub use acyclic::{
     multiplicity_table_for, multiplicity_table_for_session, multiplicity_tables,
-    multiplicity_tables_session, tsens, tsens_parallel, tsens_parallel_session, tsens_session,
-    tsens_with_skips, tsens_with_skips_session,
+    multiplicity_tables_session, tsens, tsens_session, tsens_with_skips, tsens_with_skips_session,
 };
 pub use approx::{tsens_topk, tsens_topk_session};
 pub use elastic::{

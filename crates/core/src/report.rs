@@ -6,6 +6,7 @@ use std::sync::Arc;
 use tsens_data::{
     sat_mul, Count, CountedRelation, Database, Dict, EncodedRelation, Row, Schema, Value,
 };
+use tsens_engine::ops::hash_join_enc;
 
 /// A (possibly partial) tuple of one relation: one entry per schema
 /// column, `None` meaning "any value" — the paper's extrapolated
@@ -110,33 +111,20 @@ struct Factor {
     schema: Schema,
     /// Grouped (distinct rows, sorted) encoded table.
     table: Arc<EncodedRelation>,
-    dict: Arc<Dict>,
     /// Largest entry (row, count) decoded, ties broken by smallest row.
     max: Option<(Row, Count)>,
 }
 
 impl Factor {
-    fn from_encoded(table: EncodedRelation, dict: Arc<Dict>) -> Factor {
+    fn new(table: EncodedRelation, dict: &Dict) -> Factor {
         let max = table
             .max_entry()
             .map(|(r, c)| (r.iter().map(|&code| dict.decode(code)).collect(), c));
         Factor {
             schema: table.schema().clone(),
             table: Arc::new(table),
-            dict,
             max,
         }
-    }
-
-    fn from_counted(rel: &CountedRelation) -> Factor {
-        let dict = Arc::new(Dict::from_values(
-            rel.iter()
-                .flat_map(|(row, _)| row.iter().cloned())
-                .collect::<Vec<_>>(),
-        ));
-        let mut table = dict.encode_counted(rel);
-        table.sort();
-        Factor::from_encoded(table, dict)
     }
 
     /// Count of the encoded `key`, or 0 — binary search over the sorted
@@ -185,17 +173,15 @@ pub struct MultiplicityTable {
     /// relation's schema.
     pub covered: Schema,
     factors: Vec<Factor>,
+    /// The dictionary every factor's codes come from.
+    dict: Arc<Dict>,
 }
 
 impl MultiplicityTable {
     /// Wrap a single grouped counted relation (no factorisation).
     pub fn new(relation: usize, covered: Schema, table: CountedRelation) -> Self {
         debug_assert_eq!(table.schema(), &covered);
-        MultiplicityTable {
-            relation,
-            covered,
-            factors: vec![Factor::from_counted(&table)],
-        }
+        MultiplicityTable::from_factors(relation, vec![table])
     }
 
     /// Build from schema-disjoint factors. An **empty factor list** means
@@ -205,19 +191,21 @@ impl MultiplicityTable {
     /// # Panics
     /// Panics if two factors share an attribute.
     pub fn from_factors(relation: usize, factors: Vec<CountedRelation>) -> Self {
-        let mut covered = Schema::empty();
-        for f in &factors {
-            assert!(
-                covered.is_disjoint_from(f.schema()),
-                "multiplicity-table factors must be schema-disjoint"
-            );
-            covered = covered.union(f.schema());
-        }
-        MultiplicityTable {
-            relation,
-            covered,
-            factors: factors.iter().map(Factor::from_counted).collect(),
-        }
+        let dict = Arc::new(Dict::from_values(
+            factors
+                .iter()
+                .flat_map(|f| f.iter().flat_map(|(row, _)| row.iter().cloned()))
+                .collect::<Vec<_>>(),
+        ));
+        let encoded = factors
+            .iter()
+            .map(|f| {
+                let mut table = dict.encode_counted(f);
+                table.sort();
+                table
+            })
+            .collect();
+        MultiplicityTable::from_encoded_factors(relation, encoded, &dict)
     }
 
     /// [`MultiplicityTable::from_factors`] over already-encoded grouped
@@ -242,10 +230,8 @@ impl MultiplicityTable {
         MultiplicityTable {
             relation,
             covered,
-            factors: factors
-                .into_iter()
-                .map(|t| Factor::from_encoded(t, Arc::clone(dict)))
-                .collect(),
+            factors: factors.into_iter().map(|t| Factor::new(t, dict)).collect(),
+            dict: Arc::clone(dict),
         }
     }
 
@@ -259,7 +245,7 @@ impl MultiplicityTable {
             let idx = rel_schema.projection_indices(&f.schema);
             key.clear();
             for &i in &idx {
-                match f.dict.encode(&row[i]) {
+                match self.dict.encode(&row[i]) {
                     Some(code) => key.push(code),
                     None => return 0,
                 }
@@ -309,14 +295,13 @@ impl MultiplicityTable {
     /// the factors). Exponential in the factor count — used by tests and
     /// the predicate-filtering path, not by the hot path.
     pub fn materialise(&self) -> CountedRelation {
-        let mut out = CountedRelation::unit();
+        let mut out = EncodedRelation::unit();
         for f in &self.factors {
-            let as_rel = f.table.decode(&f.dict);
-            out = tsens_engine::ops::hash_join(&out, &as_rel);
+            out = hash_join_enc(&out, &f.table);
         }
-        let mut grouped = out.group(&self.covered);
-        grouped.sort();
-        grouped
+        let mut table = out.group(&self.covered).decode(&self.dict);
+        table.sort();
+        table
     }
 
     /// Number of stored entries across factors (memory proxy; the

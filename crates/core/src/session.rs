@@ -82,18 +82,6 @@ pub trait SessionExt {
         skip_atoms: &[usize],
     ) -> Result<SensitivityReport, TsensError>;
 
-    /// [`crate::tsens_parallel`] on the session's database.
-    ///
-    /// # Errors
-    /// See [`SessionExt::tsens`].
-    fn tsens_parallel(
-        &self,
-        cq: &ConjunctiveQuery,
-        tree: &DecompositionTree,
-        skip_atoms: &[usize],
-        threads: usize,
-    ) -> Result<SensitivityReport, TsensError>;
-
     /// [`crate::tsens_path`] on the session's database. `Ok(None)` means
     /// the query is not a (predicate-free) path join query.
     ///
@@ -170,16 +158,6 @@ impl SessionExt for EngineSession<'_> {
         skip_atoms: &[usize],
     ) -> Result<SensitivityReport, TsensError> {
         crate::acyclic::tsens_with_skips_session(self, cq, tree, skip_atoms)
-    }
-
-    fn tsens_parallel(
-        &self,
-        cq: &ConjunctiveQuery,
-        tree: &DecompositionTree,
-        skip_atoms: &[usize],
-        threads: usize,
-    ) -> Result<SensitivityReport, TsensError> {
-        crate::acyclic::tsens_parallel_session(self, cq, tree, skip_atoms, threads)
     }
 
     fn tsens_path(&self, cq: &ConjunctiveQuery) -> Result<Option<SensitivityReport>, TsensError> {

@@ -1,6 +1,6 @@
 //! Property tests: a **pooled session is observationally identical to a
-//! sequential one**. `threads = 1` runs the original single-threaded
-//! code paths byte for byte; these tests pin the other direction — a
+//! sequential one**. `threads = 1` runs every pass level as an in-order
+//! loop on the calling thread; these tests pin the other direction — a
 //! 4-thread pool (level-parallel ⊥/⊤ passes, partitioned joins,
 //! parallel encoding) must answer every query with exactly the same
 //! counts, sensitivities, witnesses and elastic bounds.
@@ -231,4 +231,52 @@ proptest! {
         let ghd = auto_decompose(&q).unwrap();
         assert_parallel_equivalent(&db, &q, &ghd, &deltas);
     }
+}
+
+/// `parallel_pass_tasks` counts only ⊥/⊤ levels that really fan out (at
+/// least two units on a multi-threaded pool). A sequential pool counts
+/// nothing, and neither does a 2-atom path on 4 threads: every level of
+/// its tree holds one bag, so `Pool::run` runs it inline. A star's three
+/// leaves share a level and do run in parallel.
+#[test]
+fn parallel_pass_tasks_count_only_fanned_out_levels() {
+    let pass_tasks = |db: &Database, q: &ConjunctiveQuery, tree: &DecompositionTree, threads| {
+        let session = EngineSession::with_pool(db, Pool::new(threads).unwrap());
+        session.count_query(q, tree).unwrap();
+        session.tsens(q, tree).unwrap();
+        session.stats().parallel_pass_tasks
+    };
+
+    let (path_db, path_q) = database(
+        &[("A", "B"), ("B", "C")],
+        &[vec![vec![1, 2], vec![2, 2]], vec![vec![2, 3], vec![2, 4]]],
+    );
+    let path_tree = gyo_decompose(&path_q).unwrap().expect_acyclic("path");
+
+    let mut star_db = Database::new();
+    let [a, b, c, x, y, z] = star_db.attrs(["A", "B", "C", "X", "Y", "Z"]);
+    star_db
+        .add_relation(
+            "Hub",
+            relation(Schema::new(vec![a, b, c]), &[vec![1, 2, 4], vec![1, 5, 4]]),
+        )
+        .unwrap();
+    for (name, key, leaf) in [("L1", a, x), ("L2", b, y), ("L3", c, z)] {
+        let rows = [vec![1, 7], vec![2, 8], vec![4, 7], vec![5, 8]];
+        star_db
+            .add_relation(name, relation(Schema::new(vec![key, leaf]), &rows))
+            .unwrap();
+    }
+    let star_q = ConjunctiveQuery::over(&star_db, "star", &["Hub", "L1", "L2", "L3"]).unwrap();
+    let star_tree =
+        DecompositionTree::singleton(&star_q, vec![None, Some(0), Some(0), Some(0)]).unwrap();
+
+    assert_eq!(pass_tasks(&path_db, &path_q, &path_tree, 1), 0);
+    assert_eq!(pass_tasks(&star_db, &star_q, &star_tree, 1), 0);
+    assert_eq!(
+        pass_tasks(&path_db, &path_q, &path_tree, 4),
+        0,
+        "a path's one-bag levels run inline"
+    );
+    assert!(pass_tasks(&star_db, &star_q, &star_tree, 4) > 0);
 }

@@ -6,13 +6,13 @@
 //! tests pin down that no *request-reachable* path ever routes an
 //! untrusted constant through it. Each predicate operator (`Eq`, `Ne`,
 //! `Lt`, `Le`, `Gt`, `Ge`, `InSet`) is driven through the encoded
-//! session path, the legacy lift path, and the naive evaluator, and
-//! compared against ground truth on the same predicated query; table
+//! one-shot and session paths and the naive evaluator, which is the
+//! ground truth on the same predicated query; table
 //! probes and update paths get their own checks.
 
 use tsens_core::{naive_local_sensitivity, tsens, SessionExt};
 use tsens_data::{Database, Relation, Schema, Value};
-use tsens_engine::yannakakis::{count_query, count_query_legacy};
+use tsens_engine::yannakakis::count_query;
 use tsens_engine::{naive_eval::naive_count, EngineSession};
 use tsens_query::{gyo_decompose, ConjunctiveQuery, DecompositionTree, Predicate};
 
@@ -50,8 +50,8 @@ fn db_rs() -> (Database, ConjunctiveQuery, DecompositionTree) {
 }
 
 /// Every predicate operator with a constant the dictionary has never
-/// seen, checked across the encoded session path, the legacy lift path,
-/// the naive evaluator, and TSens — all must agree and none may panic.
+/// seen, checked across the encoded one-shot and session paths, the
+/// naive evaluator, and TSens — all must agree and none may panic.
 #[test]
 fn every_predicate_operator_with_unseen_constants() {
     let (db, q, tree) = db_rs();
@@ -91,12 +91,6 @@ fn every_predicate_operator_with_unseen_constants() {
             session.count_query(&qp, &tree).unwrap(),
             expected,
             "{label}: session"
-        );
-        // Legacy Value-row lift path.
-        assert_eq!(
-            count_query_legacy(&db, &qp, &tree),
-            expected,
-            "{label}: legacy"
         );
         // The full sensitivity algorithms run too, without panicking.
         // The predicate here constrains A, which only R has (a wildcard

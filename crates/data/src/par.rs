@@ -12,9 +12,9 @@
 //! Sizing follows `TSENS_THREADS` when set, else
 //! [`std::thread::available_parallelism`]. `threads == 1` is the
 //! **byte-for-byte sequential contract**: [`Pool::run`] degenerates to a
-//! plain in-order loop on the calling thread, and every pooled algorithm
-//! in the workspace dispatches to its original sequential code path, so
-//! `TSENS_THREADS=1` reproduces pre-parallelism behaviour exactly.
+//! plain in-order loop on the calling thread, so every pooled algorithm
+//! in the workspace, run on `Pool::sequential()`, is its own sequential
+//! version — there is no separate single-threaded code path.
 
 use crate::error::TsensError;
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -2,12 +2,15 @@
 //!
 //! Multiplicity-propagating execution engine for the `tsens` workspace.
 //!
-//! All operators work on [`tsens_data::CountedRelation`]s — relations with
-//! a `cnt` column — and implement the paper's `r⋈` / `γ` machinery (§4.2):
-//! joins multiply counts, group-bys sum them.
+//! All operators work on dictionary-encoded counted relations
+//! ([`tsens_data::EncodedRelation`]: flat `u32` rows with a `cnt` column)
+//! and implement the paper's `r⋈` / `γ` machinery (§4.2): joins multiply
+//! counts, group-bys sum them. The passes and the multiway join each
+//! have one implementation, which takes a worker pool;
+//! `Pool::sequential()` is the single-threaded engine.
 //!
-//! * [`ops`] — natural hash join, keyed lookup join, semijoin, multiway
-//!   join with connectivity-aware ordering;
+//! * [`ops`] — natural hash join (plain and partitioned), keyed lookup
+//!   join, multiway join with size-estimate ordering;
 //! * [`passes`] — the botjoin (`⊥`, post-order) and topjoin (`⊤`,
 //!   pre-order) passes over a decomposition tree (Eqns 4–8), shared by
 //!   Yannakakis evaluation and the TSens sensitivity algorithms;
@@ -22,7 +25,8 @@
 //! * [`yannakakis`] — near-linear count evaluation of acyclic (and, via
 //!   GHDs, certain cyclic) counting queries: the paper's "query
 //!   evaluation" runtime baseline;
-//! * [`naive_eval`] — brute-force full-join evaluation for cross-checks.
+//! * [`naive_eval`] — brute-force full-join evaluation over `Value` rows,
+//!   with its own private join: the test oracle for everything above.
 
 pub(crate) mod maintain;
 pub mod naive_eval;
@@ -36,18 +40,15 @@ pub mod yannakakis;
 
 pub use naive_eval::{full_join, naive_count};
 pub use ops::{
-    hash_join, hash_join_enc, lookup_join, lookup_join_enc, multiway_join, multiway_join_enc,
-    multiway_join_enc_pooled, partitioned_hash_join_enc, semijoin, semijoin_enc, sort_merge_join,
-    sort_merge_join_enc, PAR_JOIN_THRESHOLD,
+    hash_join_enc, lookup_join_enc, multiway_join_enc, partitioned_hash_join_enc,
+    PAR_JOIN_THRESHOLD,
 };
 pub use passes::{
-    bag_relations, bag_relations_from, bag_relations_from_enc, botjoin_pass, botjoin_pass_enc,
-    botjoin_pass_enc_pooled, botjoin_pass_enc_refs, lift_atoms, lift_atoms_enc, query_dict,
-    topjoin_pass, topjoin_pass_enc, topjoin_pass_enc_pooled, topjoin_pass_enc_refs,
+    bag_relations_from_arcs_pooled, botjoin_pass_enc_pooled, topjoin_pass_enc_pooled,
 };
 pub use pool::{Pool, THREADS_ENV};
 pub use session::{EngineSession, QueryKey, QueryPasses, SessionStats};
 pub use shard::{check_co_partitioned, sharded_count, ShardedDelta, ShardedEngine};
 pub use snapshot::{PublishHook, SnapshotCell};
 pub use tsens_data::Update;
-pub use yannakakis::{count_query, count_query_legacy};
+pub use yannakakis::count_query;

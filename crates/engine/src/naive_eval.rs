@@ -2,9 +2,14 @@
 //!
 //! Exponential in the query size; used as ground truth in tests and by the
 //! naive local-sensitivity baseline (Theorem 3.1) on small instances.
+//!
+//! This is the workspace's single test oracle, so it shares no code with
+//! the engine it checks: it joins `Value` rows with its own private hash
+//! join and join-order planner instead of the encoded operators of
+//! [`crate::ops`].
 
-use crate::ops::multiway_join;
-use tsens_data::{Count, CountedRelation, Database};
+use tsens_data::fast::fast_map_with_capacity;
+use tsens_data::{sat_mul, Count, CountedRelation, Database, FastMap, FastSet, Row, Value};
 use tsens_query::ConjunctiveQuery;
 
 /// Materialise `Q(D)` as a counted relation over all query attributes
@@ -34,10 +39,121 @@ pub fn naive_count(db: &Database, cq: &ConjunctiveQuery) -> Count {
     full_join(db, cq).total_count()
 }
 
+/// Project `row` onto the positions `idx`.
+fn project_row(row: &[Value], idx: &[usize]) -> Row {
+    idx.iter().map(|&i| row[i].clone()).collect()
+}
+
+/// Natural join `r⋈` over `Value` rows: join on all shared attributes,
+/// multiply counts. Result schema is `left ∪ right` (left's columns
+/// first); with no shared attributes it is the counted cross product.
+fn hash_join(left: &CountedRelation, right: &CountedRelation) -> CountedRelation {
+    let shared = left.schema().intersect(right.schema());
+    let right_extra = right.schema().difference(left.schema());
+    let l_key = left.schema().projection_indices(&shared);
+    let r_key = right.schema().projection_indices(&shared);
+    let r_extra = right.schema().projection_indices(&right_extra);
+
+    let mut index: FastMap<Row, Vec<(Row, Count)>> = fast_map_with_capacity(right.len());
+    for (row, c) in right.iter() {
+        index
+            .entry(project_row(row, &r_key))
+            .or_default()
+            .push((project_row(row, &r_extra), *c));
+    }
+    let mut out = CountedRelation::new(left.schema().union(right.schema()));
+    for (lrow, lc) in left.iter() {
+        if let Some(matches) = index.get(&project_row(lrow, &l_key)) {
+            for (extra, rc) in matches {
+                let mut row = lrow.clone();
+                row.extend(extra.iter().cloned());
+                out.push(row, sat_mul(*lc, *rc));
+            }
+        }
+    }
+    out
+}
+
+/// Equijoin size estimate under uniformity, `|A|·|B| / max(d_A, d_B)`
+/// with `d` the distinct join keys; a plain product for cross products.
+fn estimate_join(acc: &CountedRelation, rel: &CountedRelation) -> u128 {
+    let shared = acc.schema().intersect(rel.schema());
+    let product = acc.len() as u128 * rel.len() as u128;
+    if shared.is_empty() {
+        return product;
+    }
+    let distinct = |r: &CountedRelation| {
+        let idx = r.schema().projection_indices(&shared);
+        let keys: FastSet<Row> = r.iter().map(|(row, _)| project_row(row, &idx)).collect();
+        keys.len()
+    };
+    product / (distinct(acc).max(distinct(rel)).max(1) as u128)
+}
+
+/// Join every input, taking at each step the unused input with the
+/// smallest [`estimate_join`] against the accumulated result (ties →
+/// lowest index), so connected inputs are joined before any cross
+/// product. The first input's columns come first.
+fn multiway_join(inputs: &[&CountedRelation]) -> CountedRelation {
+    let (first, rest) = inputs.split_first().expect("a query has atoms");
+    let mut rest = rest.to_vec();
+    let mut acc = (*first).clone();
+    while !rest.is_empty() {
+        let best = (0..rest.len())
+            .min_by_key(|&i| estimate_join(&acc, rest[i]))
+            .expect("rest is non-empty");
+        acc = hash_join(&acc, rest.remove(best));
+    }
+    acc
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tsens_data::{Relation, Row, Schema, Value};
+    use tsens_data::{AttrId, Relation, Schema};
+
+    fn counted(sch: &[u32], entries: &[(&[i64], Count)]) -> CountedRelation {
+        CountedRelation::from_pairs(
+            Schema::new(sch.iter().map(|&i| AttrId(i)).collect()),
+            entries
+                .iter()
+                .map(|(r, c)| (r.iter().map(|&v| Value::Int(v)).collect(), *c))
+                .collect(),
+        )
+    }
+
+    fn ints(vals: &[i64]) -> Row {
+        vals.iter().map(|&v| Value::Int(v)).collect()
+    }
+
+    #[test]
+    fn join_without_shared_attrs_is_cross_product() {
+        let r = counted(&[0], &[(&[1], 2), (&[2], 1)]);
+        let s = counted(&[1], &[(&[10], 3)]);
+        let j = hash_join(&r, &s);
+        assert_eq!(j.len(), 2);
+        assert_eq!(j.count_of(&ints(&[1, 10])), 6);
+        assert_eq!(j.total_count(), 9);
+    }
+
+    #[test]
+    fn join_column_order_is_left_then_right_extra() {
+        let r = counted(&[2, 0], &[(&[5, 1], 1)]);
+        let s = counted(&[0, 3], &[(&[1, 9], 1)]);
+        let j = hash_join(&r, &s);
+        assert_eq!(
+            j.schema(),
+            &Schema::new(vec![AttrId(2), AttrId(0), AttrId(3)])
+        );
+        assert_eq!(j.entries()[0].0, ints(&[5, 1, 9]));
+    }
+
+    #[test]
+    fn join_counts_saturate_instead_of_overflowing() {
+        let r = counted(&[0], &[(&[1], Count::MAX)]);
+        let s = counted(&[0], &[(&[1], 3)]);
+        assert_eq!(hash_join(&r, &s).count_of(&ints(&[1])), Count::MAX);
+    }
 
     /// Figure 1 of the paper: the four-relation join with exactly one
     /// output tuple.

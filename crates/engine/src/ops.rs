@@ -1,271 +1,18 @@
-//! Multiplicity-propagating relational operators.
+//! Multiplicity-propagating relational operators — the paper's `r⋈`
+//! (§4.2) over dictionary-encoded [`tsens_data::EncodedRelation`] flat
+//! `u32` rows; `γ` is [`EncodedRelation::group`].
 //!
-//! Every operator comes in two flavours: a legacy `Value`-row flavour
-//! ([`hash_join`], [`lookup_join`], …) kept for tests, ground-truth
-//! cross-checks and API compatibility, and a dictionary-encoded flavour
-//! ([`hash_join_enc`], [`lookup_join_enc`], …) over
-//! [`tsens_data::EncodedRelation`] flat `u32` rows — the engine's hot
-//! path. The encoded flavour performs **no per-output-row heap
-//! allocation**: keys are hashed as raw `u32`s (single-column fast path)
-//! or fixed-width `&[u32]` slices gathered into one reused scratch
-//! buffer, and output rows are appended straight into the flat buffer.
+//! The operators perform **no per-output-row heap allocation**: keys are
+//! hashed as raw `u32`s (single-column fast path) or fixed-width `&[u32]`
+//! slices gathered into one reused scratch buffer, and output rows are
+//! appended straight into the flat buffer. Ground truth for all of them
+//! is [`crate::naive_eval`], which materialises the full join over
+//! `Value` rows with its own private join.
 
 use crate::pool::Pool;
 use std::sync::atomic::{AtomicU64, Ordering};
 use tsens_data::fast::fast_map_with_capacity;
-use tsens_data::{sat_mul, Count, CountedRelation, EncodedRelation, FastMap, Row, Value};
-
-/// Project `row` (laid out by `schema`) onto the positions `idx`.
-#[inline]
-fn project_row(row: &[Value], idx: &[usize]) -> Row {
-    idx.iter().map(|&i| row[i].clone()).collect()
-}
-
-/// Natural join `r⋈`: join on all shared attributes, multiply counts.
-///
-/// Result schema is `left ∪ right` (left's columns first). With no shared
-/// attributes this degenerates to the counted cross product, which is what
-/// the paper's GHD bags need (e.g. `N ⋈ L` inside q3's root bag).
-///
-/// The **smaller** input is hashed on the shared key (build-side
-/// selection); runtime is `O(|left| + |right| + |out|)` either way, but
-/// the hash table stays proportional to the smaller side.
-pub fn hash_join(left: &CountedRelation, right: &CountedRelation) -> CountedRelation {
-    let shared = left.schema().intersect(right.schema());
-    let out_schema = left.schema().union(right.schema());
-    let right_extra = right.schema().difference(left.schema());
-    let l_key = left.schema().projection_indices(&shared);
-    let r_key = right.schema().projection_indices(&shared);
-    let r_extra = right.schema().projection_indices(&right_extra);
-
-    let mut out = CountedRelation::new(out_schema);
-    if right.len() <= left.len() {
-        // Hash the right side: key → (extra columns, count).
-        let mut index: FastMap<Row, Vec<(Row, Count)>> = fast_map_with_capacity(right.len());
-        for (row, c) in right.iter() {
-            let key = project_row(row, &r_key);
-            index
-                .entry(key)
-                .or_default()
-                .push((project_row(row, &r_extra), *c));
-        }
-        for (lrow, lc) in left.iter() {
-            let key = project_row(lrow, &l_key);
-            if let Some(matches) = index.get(&key) {
-                for (extra, rc) in matches {
-                    let mut row = lrow.clone();
-                    row.extend(extra.iter().cloned());
-                    out.push(row, sat_mul(*lc, *rc));
-                }
-            }
-        }
-    } else {
-        // Hash the left side: key → (full left row, count). Output rows
-        // still lay out left's columns first.
-        let mut index: FastMap<Row, Vec<(&Row, Count)>> = fast_map_with_capacity(left.len());
-        for (row, c) in left.iter() {
-            index
-                .entry(project_row(row, &l_key))
-                .or_default()
-                .push((row, *c));
-        }
-        for (rrow, rc) in right.iter() {
-            let key = project_row(rrow, &r_key);
-            if let Some(matches) = index.get(&key) {
-                let extra = project_row(rrow, &r_extra);
-                for (lrow, lc) in matches {
-                    let mut row = (*lrow).clone();
-                    row.extend(extra.iter().cloned());
-                    out.push(row, sat_mul(*lc, *rc));
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Keyed lookup join: `keyed`'s schema must be a subset of `base`'s, and
-/// `keyed` must be key-distinct (the output of a `γ` group-by). Each base
-/// row matches at most one keyed entry; matched rows keep `base`'s schema
-/// with counts multiplied, unmatched rows are dropped.
-///
-/// This is the workhorse of the ⊤/⊥ passes: in Eqns (7)–(8) every botjoin
-/// and topjoin consumed by a node is grouped on a subset of that node's
-/// attributes, so the whole pass is `O(n · d)` hash lookups (Theorem 5.1).
-///
-/// # Panics
-/// Panics if `keyed.schema() ⊄ base.schema()`.
-pub fn lookup_join(base: &CountedRelation, keyed: &CountedRelation) -> CountedRelation {
-    assert!(
-        keyed.schema().is_subset_of(base.schema()),
-        "lookup_join: keyed schema {:?} must be a subset of base schema {:?}",
-        keyed.schema(),
-        base.schema()
-    );
-    let key_idx = base.schema().projection_indices(keyed.schema());
-    let mut index: FastMap<&[Value], Count> = fast_map_with_capacity(keyed.len());
-    for (row, c) in keyed.iter() {
-        // Defensive: sum if the caller passed a non-grouped relation.
-        let slot = index.entry(row.as_slice()).or_insert(0);
-        *slot = slot.saturating_add(*c);
-    }
-
-    let mut out = CountedRelation::new(base.schema().clone());
-    for (row, c) in base.iter() {
-        let key = project_row(row, &key_idx);
-        if let Some(&kc) = index.get(key.as_slice()) {
-            out.push(row.clone(), sat_mul(*c, kc));
-        }
-    }
-    out
-}
-
-/// Semijoin: keep base entries whose projection onto `filter`'s schema
-/// appears in `filter`; counts are unchanged. (Classic Yannakakis
-/// reduction step; exposed for completeness and used in tests.)
-///
-/// # Panics
-/// Panics if `filter.schema() ⊄ base.schema()`.
-pub fn semijoin(base: &CountedRelation, filter: &CountedRelation) -> CountedRelation {
-    assert!(
-        filter.schema().is_subset_of(base.schema()),
-        "semijoin: filter schema must be a subset of base schema"
-    );
-    let key_idx = base.schema().projection_indices(filter.schema());
-    let mut keys: tsens_data::FastSet<&[Value]> = tsens_data::FastSet::default();
-    for (row, _) in filter.iter() {
-        keys.insert(row.as_slice());
-    }
-    let mut out = CountedRelation::new(base.schema().clone());
-    for (row, c) in base.iter() {
-        let key = project_row(row, &key_idx);
-        if keys.contains(key.as_slice()) {
-            out.push(row.clone(), *c);
-        }
-    }
-    out
-}
-
-/// Number of distinct projections of `rel`'s entries onto `idx`.
-fn distinct_keys(rel: &CountedRelation, idx: &[usize]) -> usize {
-    let mut keys: tsens_data::FastSet<Row> = tsens_data::FastSet::default();
-    for (row, _) in rel.iter() {
-        keys.insert(project_row(row, idx));
-    }
-    keys.len()
-}
-
-/// Textbook equijoin size estimate under uniformity:
-/// `|A ⋈ B| ≈ |A|·|B| / max(d_A, d_B)` where `d` counts distinct join
-/// keys; a plain product for cross products. Used to order multiway
-/// joins — a shared low-cardinality key (q3's `nationkey`, 25 values) can
-/// blow an overlap-greedy order up by orders of magnitude.
-fn estimate_join(acc: &CountedRelation, rel: &CountedRelation) -> u128 {
-    let shared = acc.schema().intersect(rel.schema());
-    let product = acc.len() as u128 * rel.len() as u128;
-    if shared.is_empty() {
-        return product;
-    }
-    let da = distinct_keys(acc, &acc.schema().projection_indices(&shared));
-    let dr = distinct_keys(rel, &rel.schema().projection_indices(&shared));
-    product / (da.max(dr).max(1) as u128)
-}
-
-/// Join several counted relations, choosing at each step the unused input
-/// with the smallest [`estimate_join`] against the accumulated result
-/// (cross products are costed as plain products, so they are taken only
-/// when genuinely cheapest — unavoidable for GHD bags whose members are
-/// disconnected, like q3's `{R, N, L}`).
-///
-/// # Panics
-/// Panics if `inputs` is empty.
-pub fn multiway_join(inputs: &[&CountedRelation]) -> CountedRelation {
-    assert!(!inputs.is_empty(), "multiway_join needs at least one input");
-    let mut used = vec![false; inputs.len()];
-    let mut acc = inputs[0].clone();
-    used[0] = true;
-    for _ in 1..inputs.len() {
-        // Pick the unused input with the smallest estimated join size
-        // (ties broken by lowest index — deterministic).
-        let mut best: Option<(usize, u128)> = None;
-        for (i, rel) in inputs.iter().enumerate() {
-            if used[i] {
-                continue;
-            }
-            let est = estimate_join(&acc, rel);
-            if best.is_none_or(|(_, e)| est < e) {
-                best = Some((i, est));
-            }
-        }
-        let (i, _) = best.expect("an unused input must remain");
-        used[i] = true;
-        acc = hash_join(&acc, inputs[i]);
-    }
-    acc
-}
-
-/// Natural join by **sort-merge** — the join the paper's Algorithm 1/2
-/// descriptions use ("sort both relations on the join column, join
-/// together, then groupby and add the cnt values", §4.2). Produces the
-/// same bag as [`hash_join`]; complexity `O(n log n + |out|)`.
-///
-/// Kept alongside the hash join so `bench_ablation` can compare them; the
-/// passes default to hashing, which benches faster on this workload's
-/// integer keys.
-pub fn sort_merge_join(left: &CountedRelation, right: &CountedRelation) -> CountedRelation {
-    let shared = left.schema().intersect(right.schema());
-    let out_schema = left.schema().union(right.schema());
-    let right_extra = right.schema().difference(left.schema());
-    let l_key = left.schema().projection_indices(&shared);
-    let r_key = right.schema().projection_indices(&shared);
-    let r_extra = right.schema().projection_indices(&right_extra);
-
-    // Sort both sides by join key.
-    let mut l: Vec<(Row, &Row, Count)> = left
-        .iter()
-        .map(|(row, c)| (project_row(row, &l_key), row, *c))
-        .collect();
-    let mut r: Vec<(Row, Row, Count)> = right
-        .iter()
-        .map(|(row, c)| (project_row(row, &r_key), project_row(row, &r_extra), *c))
-        .collect();
-    l.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-    r.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-
-    let mut out = CountedRelation::new(out_schema);
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < l.len() && j < r.len() {
-        match l[i].0.cmp(&r[j].0) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                // Emit the run × run block.
-                let key = &l[i].0;
-                let mut j_end = j;
-                while j_end < r.len() && &r[j_end].0 == key {
-                    j_end += 1;
-                }
-                let mut i_cur = i;
-                while i_cur < l.len() && &l[i_cur].0 == key {
-                    let (_, lrow, lc) = &l[i_cur];
-                    for (_, extra, rc) in &r[j..j_end] {
-                        let mut row = (*lrow).clone();
-                        row.extend(extra.iter().cloned());
-                        out.push(row, sat_mul(*lc, *rc));
-                    }
-                    i_cur += 1;
-                }
-                i = i_cur;
-                j = j_end;
-            }
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Dictionary-encoded operators (the hot path).
-// ---------------------------------------------------------------------------
+use tsens_data::{sat_mul, Count, EncodedRelation, FastMap};
 
 /// Hash index over an encoded relation's projected key: key → row indices.
 ///
@@ -319,10 +66,13 @@ fn gather(buf: &mut Vec<u32>, row: &[u32], idx: &[usize]) {
     buf.extend(idx.iter().map(|&i| row[i]));
 }
 
-/// [`hash_join`] over encoded relations: natural join on all shared
-/// attributes, counts multiplied, result schema `left ∪ right` (left's
-/// columns first). Hashes the smaller input; output rows are appended
-/// straight into the flat buffer — no per-output-row allocation.
+/// Natural join `r⋈`: join on all shared attributes, multiply counts.
+///
+/// Result schema is `left ∪ right` (left's columns first). With no shared
+/// attributes this degenerates to the counted cross product, which is what
+/// the paper's GHD bags need (e.g. `N ⋈ L` inside q3's root bag). The
+/// **smaller** input is hashed on the shared key (build-side selection);
+/// output rows are appended straight into the flat buffer.
 pub fn hash_join_enc(left: &EncodedRelation, right: &EncodedRelation) -> EncodedRelation {
     let shared = left.schema().intersect(right.schema());
     let out_schema = left.schema().union(right.schema());
@@ -361,9 +111,14 @@ pub fn hash_join_enc(left: &EncodedRelation, right: &EncodedRelation) -> Encoded
     out
 }
 
-/// [`lookup_join`] over encoded relations — the workhorse of the ⊤/⊥
-/// passes. `keyed.schema()` must be a subset of `base.schema()`; matched
-/// base rows keep their schema with counts multiplied.
+/// Keyed lookup join: `keyed`'s schema must be a subset of `base`'s, and
+/// `keyed` must be key-distinct (the output of a `γ` group-by). Each base
+/// row matches at most one keyed entry; matched rows keep `base`'s schema
+/// with counts multiplied, unmatched rows are dropped.
+///
+/// This is the workhorse of the ⊤/⊥ passes: in Eqns (7)–(8) every botjoin
+/// and topjoin consumed by a node is grouped on a subset of that node's
+/// attributes, so the whole pass is `O(n · d)` hash lookups (Theorem 5.1).
 ///
 /// Single-column keys probe a raw-`u32` map; wider keys borrow `keyed`'s
 /// contiguous rows as map keys and probe with a reused scratch slice, so
@@ -424,32 +179,6 @@ pub fn lookup_join_enc(base: &EncodedRelation, keyed: &EncodedRelation) -> Encod
     out
 }
 
-/// [`semijoin`] over encoded relations: keep base entries whose key
-/// projection appears in `filter`; counts unchanged.
-///
-/// # Panics
-/// Panics if `filter.schema() ⊄ base.schema()`.
-pub fn semijoin_enc(base: &EncodedRelation, filter: &EncodedRelation) -> EncodedRelation {
-    assert!(
-        filter.schema().is_subset_of(base.schema()),
-        "semijoin_enc: filter schema must be a subset of base schema"
-    );
-    let key_idx = base.schema().projection_indices(filter.schema());
-    let mut keys: tsens_data::FastSet<&[u32]> = tsens_data::FastSet::default();
-    for (row, _) in filter.iter() {
-        keys.insert(row);
-    }
-    let mut out = EncodedRelation::with_capacity(base.schema().clone(), base.len());
-    let mut key: Vec<u32> = Vec::with_capacity(key_idx.len());
-    for (row, c) in base.iter() {
-        gather(&mut key, row, &key_idx);
-        if keys.contains(key.as_slice()) {
-            out.push(row, c);
-        }
-    }
-    out
-}
-
 /// Number of distinct projections of `rel`'s rows onto `idx` — pairs are
 /// packed into `u64`s, wider keys gathered into a scratch slice.
 fn distinct_keys_enc(rel: &EncodedRelation, idx: &[usize]) -> usize {
@@ -483,7 +212,11 @@ fn distinct_keys_enc(rel: &EncodedRelation, idx: &[usize]) -> usize {
     }
 }
 
-/// [`estimate_join`] over encoded relations.
+/// Textbook equijoin size estimate under uniformity:
+/// `|A ⋈ B| ≈ |A|·|B| / max(d_A, d_B)` where `d` counts distinct join
+/// keys; a plain product for cross products. Used to order multiway
+/// joins — a shared low-cardinality key (q3's `nationkey`, 25 values) can
+/// blow an overlap-greedy order up by orders of magnitude.
 fn estimate_join_enc(acc: &EncodedRelation, rel: &EncodedRelation) -> u128 {
     let shared = acc.schema().intersect(rel.schema());
     let product = acc.len() as u128 * rel.len() as u128;
@@ -493,38 +226,6 @@ fn estimate_join_enc(acc: &EncodedRelation, rel: &EncodedRelation) -> u128 {
     let da = distinct_keys_enc(acc, &acc.schema().projection_indices(&shared));
     let dr = distinct_keys_enc(rel, &rel.schema().projection_indices(&shared));
     product / (da.max(dr).max(1) as u128)
-}
-
-/// [`multiway_join`] over encoded relations: join several inputs ordered
-/// by the smallest [`estimate_join_enc`] against the accumulated result.
-///
-/// # Panics
-/// Panics if `inputs` is empty.
-pub fn multiway_join_enc(inputs: &[&EncodedRelation]) -> EncodedRelation {
-    assert!(
-        !inputs.is_empty(),
-        "multiway_join_enc needs at least one input"
-    );
-    let mut used = vec![false; inputs.len()];
-    let mut acc = inputs[0].clone();
-    used[0] = true;
-    for _ in 1..inputs.len() {
-        // Smallest estimated join size first (ties → lowest index).
-        let mut best: Option<(usize, u128)> = None;
-        for (i, rel) in inputs.iter().enumerate() {
-            if used[i] {
-                continue;
-            }
-            let est = estimate_join_enc(&acc, rel);
-            if best.is_none_or(|(_, e)| est < e) {
-                best = Some((i, est));
-            }
-        }
-        let (i, _) = best.expect("an unused input must remain");
-        used[i] = true;
-        acc = hash_join_enc(&acc, inputs[i]);
-    }
-    acc
 }
 
 /// Larger-side row count below which [`partitioned_hash_join_enc`] falls
@@ -576,7 +277,7 @@ fn hash_partition_enc(
 /// Output rows are a permutation of the sequential join's (bucket-major
 /// instead of probe-major); every caller in the pass pipeline re-groups
 /// (`γ`) before counts are read, so results are unaffected. Falls back
-/// to the sequential join verbatim for sequential pools, cross products
+/// to the plain [`hash_join_enc`] for sequential pools, cross products
 /// (no shared key to partition on) and inputs under
 /// [`PAR_JOIN_THRESHOLD`]. Each bucket pair or probe chunk joined in
 /// parallel adds one to `tasks` (the session's `parallel_join_tasks`
@@ -681,22 +382,22 @@ fn chunked_probe_join_enc(
     out
 }
 
-/// [`multiway_join_enc`] with each pairwise step running through the
-/// parallel [`partitioned_hash_join_enc`]: same greedy
-/// smallest-estimate join order (so the same intermediate sizes), large
-/// steps fan out across the pool. Sequential pools take
-/// [`multiway_join_enc`] verbatim.
+/// Join several counted relations, choosing at each step the unused input
+/// with the smallest `estimate_join_enc` against the accumulated result
+/// (ties → lowest index). Cross products are costed as plain products,
+/// so they are taken only when genuinely cheapest — unavoidable for GHD
+/// bags whose members are disconnected, like q3's `{R, N, L}`. Each
+/// pairwise step runs through [`partitioned_hash_join_enc`], so large
+/// steps fan out across `pool`; a sequential pool joins every step with
+/// the plain [`hash_join_enc`].
 ///
 /// # Panics
 /// Panics if `inputs` is empty.
-pub fn multiway_join_enc_pooled(
+pub fn multiway_join_enc(
     inputs: &[&EncodedRelation],
     pool: &Pool,
     tasks: &AtomicU64,
 ) -> EncodedRelation {
-    if pool.is_sequential() {
-        return multiway_join_enc(inputs);
-    }
     assert!(
         !inputs.is_empty(),
         "multiway_join_enc needs at least one input"
@@ -722,64 +423,6 @@ pub fn multiway_join_enc_pooled(
     acc
 }
 
-/// [`sort_merge_join`] over encoded relations: sort row indices of both
-/// sides by the projected join key (compared column-by-column straight
-/// out of the flat buffers), then emit run × run blocks.
-pub fn sort_merge_join_enc(left: &EncodedRelation, right: &EncodedRelation) -> EncodedRelation {
-    let shared = left.schema().intersect(right.schema());
-    let out_schema = left.schema().union(right.schema());
-    let right_extra = right.schema().difference(left.schema());
-    let l_key = left.schema().projection_indices(&shared);
-    let r_key = right.schema().projection_indices(&shared);
-    let r_extra = right.schema().projection_indices(&right_extra);
-
-    let cmp_rows = |rel: &EncodedRelation, idx: &[usize], a: u32, b: u32| {
-        idx.iter()
-            .map(|&k| rel.row(a as usize)[k])
-            .cmp(idx.iter().map(|&k| rel.row(b as usize)[k]))
-    };
-    let cmp_key = |rel: &EncodedRelation, idx: &[usize], i: u32, key: &[u32]| {
-        idx.iter()
-            .map(|&k| rel.row(i as usize)[k])
-            .cmp(key.iter().copied())
-    };
-    let mut l_order: Vec<u32> = (0..left.len() as u32).collect();
-    let mut r_order: Vec<u32> = (0..right.len() as u32).collect();
-    l_order.sort_unstable_by(|&a, &b| cmp_rows(left, &l_key, a, b));
-    r_order.sort_unstable_by(|&a, &b| cmp_rows(right, &r_key, a, b));
-
-    let mut out = EncodedRelation::with_capacity(out_schema, left.len().max(right.len()));
-    let mut extra: Vec<u32> = Vec::with_capacity(r_extra.len());
-    let mut key: Vec<u32> = Vec::with_capacity(l_key.len());
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < l_order.len() && j < r_order.len() {
-        gather(&mut key, left.row(l_order[i] as usize), &l_key);
-        match cmp_key(right, &r_key, r_order[j], &key).reverse() {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                let mut j_end = j;
-                while j_end < r_order.len() && cmp_key(right, &r_key, r_order[j_end], &key).is_eq()
-                {
-                    j_end += 1;
-                }
-                while i < l_order.len() && cmp_key(left, &l_key, l_order[i], &key).is_eq() {
-                    let li = l_order[i] as usize;
-                    let (lrow, lc) = (left.row(li), left.count(li));
-                    for &rj in &r_order[j..j_end] {
-                        let rj = rj as usize;
-                        gather(&mut extra, right.row(rj), &r_extra);
-                        out.push_concat(lrow, &extra, sat_mul(lc, right.count(rj)));
-                    }
-                    i += 1;
-                }
-                j = j_end;
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -789,133 +432,67 @@ mod tests {
         Schema::new(ids.iter().map(|&i| AttrId(i)).collect())
     }
 
-    fn row(vals: &[i64]) -> Row {
-        vals.iter().map(|&v| Value::Int(v)).collect()
+    fn enc(sch: &[u32], entries: &[(&[u32], Count)]) -> EncodedRelation {
+        let mut rel = EncodedRelation::with_capacity(schema(sch), entries.len());
+        for (row, c) in entries {
+            rel.push(row, *c);
+        }
+        rel
     }
 
-    fn counted(sch: &[u32], entries: &[(&[i64], Count)]) -> CountedRelation {
-        CountedRelation::from_pairs(
-            schema(sch),
-            entries.iter().map(|(r, c)| (row(r), *c)).collect(),
-        )
+    /// The relation as a grouped, sorted bag of `(row, count)` pairs.
+    fn bag(rel: &EncodedRelation) -> Vec<(Vec<u32>, Count)> {
+        rel.group(rel.schema())
+            .iter()
+            .map(|(row, c)| (row.to_vec(), c))
+            .collect()
+    }
+
+    fn pairs(entries: &[(&[u32], Count)]) -> Vec<(Vec<u32>, Count)> {
+        entries.iter().map(|(r, c)| (r.to_vec(), *c)).collect()
     }
 
     #[test]
     fn hash_join_multiplies_counts() {
-        // R(A,B) ⋈ S(B,C)
-        let r = counted(&[0, 1], &[(&[1, 10], 2), (&[2, 10], 3), (&[3, 99], 1)]);
-        let s = counted(&[1, 2], &[(&[10, 7], 5), (&[10, 8], 1)]);
-        let j = hash_join(&r, &s);
+        // R(A,B) ⋈ S(B,C); (3, 99) dangles.
+        let r = enc(&[0, 1], &[(&[1, 10], 2), (&[2, 10], 3), (&[3, 99], 1)]);
+        let s = enc(&[1, 2], &[(&[10, 7], 5), (&[10, 8], 1)]);
+        let j = hash_join_enc(&r, &s);
         assert_eq!(j.schema(), &schema(&[0, 1, 2]));
-        assert_eq!(j.count_of(&row(&[1, 10, 7])), 10);
-        assert_eq!(j.count_of(&row(&[2, 10, 8])), 3);
-        assert_eq!(j.count_of(&row(&[3, 99, 7])), 0); // dangling dropped
-        assert_eq!(j.len(), 4);
-        assert_eq!(j.total_count(), 10 + 2 + 15 + 3);
+        assert_eq!(
+            bag(&j),
+            pairs(&[
+                (&[1, 10, 7], 10),
+                (&[1, 10, 8], 2),
+                (&[2, 10, 7], 15),
+                (&[2, 10, 8], 3),
+            ])
+        );
     }
 
     #[test]
     fn hash_join_without_shared_attrs_is_cross_product() {
-        let r = counted(&[0], &[(&[1], 2), (&[2], 1)]);
-        let s = counted(&[1], &[(&[10], 3)]);
-        let j = hash_join(&r, &s);
-        assert_eq!(j.len(), 2);
-        assert_eq!(j.total_count(), 9);
+        let r = enc(&[0], &[(&[1], 2), (&[2], 1)]);
+        let s = enc(&[1], &[(&[10], 3)]);
+        let j = hash_join_enc(&r, &s);
+        assert_eq!(bag(&j), pairs(&[(&[1, 10], 6), (&[2, 10], 3)]));
     }
 
     #[test]
     fn hash_join_column_order_is_left_then_right_extra() {
-        let r = counted(&[2, 0], &[(&[5, 1], 1)]);
-        let s = counted(&[0, 3], &[(&[1, 9], 1)]);
-        let j = hash_join(&r, &s);
+        let r = enc(&[2, 0], &[(&[5, 1], 1)]);
+        let s = enc(&[0, 3], &[(&[1, 9], 1)]);
+        let j = hash_join_enc(&r, &s);
         assert_eq!(j.schema(), &schema(&[2, 0, 3]));
-        assert_eq!(j.entries()[0].0, row(&[5, 1, 9]));
+        assert_eq!(j.row(0), &[5, 1, 9]);
     }
 
     #[test]
-    fn lookup_join_keeps_base_schema() {
-        let base = counted(&[0, 1], &[(&[1, 10], 2), (&[2, 20], 3)]);
-        let keyed = counted(&[1], &[(&[10], 4)]);
-        let j = lookup_join(&base, &keyed);
-        assert_eq!(j.schema(), &schema(&[0, 1]));
-        assert_eq!(j.len(), 1);
-        assert_eq!(j.count_of(&row(&[1, 10])), 8);
-    }
-
-    #[test]
-    fn lookup_join_with_unit_is_identity() {
-        let base = counted(&[0], &[(&[1], 2), (&[2], 3)]);
-        let j = lookup_join(&base, &CountedRelation::unit());
-        assert_eq!(j.entries(), base.entries());
-    }
-
-    #[test]
-    #[should_panic(expected = "subset")]
-    fn lookup_join_rejects_non_subset() {
-        let base = counted(&[0], &[(&[1], 1)]);
-        let keyed = counted(&[1], &[(&[1], 1)]);
-        let _ = lookup_join(&base, &keyed);
-    }
-
-    #[test]
-    fn semijoin_filters_without_scaling() {
-        let base = counted(&[0, 1], &[(&[1, 10], 2), (&[2, 20], 3)]);
-        let filter = counted(&[1], &[(&[10], 99)]);
-        let s = semijoin(&base, &filter);
-        assert_eq!(s.len(), 1);
-        assert_eq!(s.count_of(&row(&[1, 10])), 2);
-    }
-
-    #[test]
-    fn multiway_join_orders_by_connectivity() {
-        // R(A,B), T(C,D), S(B,C): naive left-to-right would cross-product
-        // R×T; the planner must pick S second.
-        let r = counted(&[0, 1], &[(&[1, 2], 1)]);
-        let t = counted(&[2, 3], &[(&[3, 4], 1)]);
-        let s = counted(&[1, 2], &[(&[2, 3], 1)]);
-        let j = multiway_join(&[&r, &t, &s]);
-        assert_eq!(j.total_count(), 1);
-        assert_eq!(j.schema().arity(), 4);
-    }
-
-    #[test]
-    fn multiway_join_single_input() {
-        let r = counted(&[0], &[(&[1], 5)]);
-        let j = multiway_join(&[&r]);
-        assert_eq!(j.entries(), r.entries());
-    }
-
-    #[test]
-    fn join_counts_saturate_instead_of_overflowing() {
-        let r = counted(&[0], &[(&[1], Count::MAX)]);
-        let s = counted(&[0], &[(&[1], 3)]);
-        let j = hash_join(&r, &s);
-        assert_eq!(j.count_of(&row(&[1])), Count::MAX);
-    }
-
-    /// Encode a counted relation through a dictionary covering both
-    /// inputs (test helper for the encoded-operator checks below).
-    fn encode_pair(
-        r: &CountedRelation,
-        s: &CountedRelation,
-    ) -> (tsens_data::Dict, EncodedRelation, EncodedRelation) {
-        let dict = tsens_data::Dict::from_values(
-            r.iter()
-                .chain(s.iter())
-                .flat_map(|(row, _)| row.iter().cloned())
-                .collect::<Vec<_>>(),
-        );
-        let re = dict.encode_counted(r);
-        let se = dict.encode_counted(s);
-        (dict, re, se)
-    }
-
-    #[test]
-    fn hash_join_enc_build_side_selection_matches_legacy() {
+    fn hash_join_build_side_selection_keeps_the_bag() {
         // Asymmetric sizes in both directions: whichever side is hashed
-        // (the smaller one), the encoded join must equal the legacy join
-        // exactly — same bag, same left-then-right column order.
-        let big = counted(
+        // (the smaller one), the bag and the left-then-right column order
+        // are the same.
+        let big = enc(
             &[0, 1],
             &[
                 (&[1, 10], 2),
@@ -926,36 +503,93 @@ mod tests {
                 (&[6, 11], 2),
             ],
         );
-        let small = counted(&[1, 2], &[(&[10, 7], 5), (&[11, 8], 1)]);
-        for (l, r) in [(&big, &small), (&small, &big)] {
-            let legacy = hash_join(l, r);
-            let (dict, le, re) = encode_pair(l, r);
-            let encoded = hash_join_enc(&le, &re);
-            let target = legacy.schema().clone();
-            assert_eq!(encoded.schema(), legacy.schema());
-            assert_eq!(
-                encoded.group(&target).decode(&dict),
-                legacy.group(&target),
-                "encoded ≠ legacy for sizes {} ⋈ {}",
-                l.len(),
-                r.len()
-            );
+        let small = enc(&[1, 2], &[(&[10, 7], 5), (&[11, 8], 1)]);
+        let big_small = hash_join_enc(&big, &small);
+        assert_eq!(big_small.schema(), &schema(&[0, 1, 2]));
+        assert_eq!(
+            bag(&big_small),
+            pairs(&[
+                (&[1, 10, 7], 10),
+                (&[2, 10, 7], 15),
+                (&[4, 10, 7], 5),
+                (&[5, 11, 8], 7),
+                (&[6, 11, 8], 2),
+            ])
+        );
+        let small_big = hash_join_enc(&small, &big);
+        assert_eq!(small_big.schema(), &schema(&[1, 2, 0]));
+        assert_eq!(
+            bag(&small_big),
+            pairs(&[
+                (&[10, 7, 1], 10),
+                (&[10, 7, 2], 15),
+                (&[10, 7, 4], 5),
+                (&[11, 8, 5], 7),
+                (&[11, 8, 6], 2),
+            ])
+        );
+    }
+
+    #[test]
+    fn hash_join_build_side_ties_keep_the_bag() {
+        // Equal sizes hash the right side; the bag is unchanged.
+        let r = enc(&[0, 1], &[(&[1, 10], 2), (&[2, 11], 3)]);
+        let s = enc(&[1, 2], &[(&[10, 7], 5), (&[11, 8], 1)]);
+        assert_eq!(
+            bag(&hash_join_enc(&r, &s)),
+            pairs(&[(&[1, 10, 7], 10), (&[2, 11, 8], 3)])
+        );
+    }
+
+    #[test]
+    fn join_counts_saturate_instead_of_overflowing() {
+        let r = enc(&[0], &[(&[1], Count::MAX)]);
+        let s = enc(&[0], &[(&[1], 3)]);
+        assert_eq!(bag(&hash_join_enc(&r, &s)), pairs(&[(&[1], Count::MAX)]));
+    }
+
+    #[test]
+    fn lookup_join_keeps_base_schema() {
+        let base = enc(&[0, 1], &[(&[1, 10], 2), (&[2, 20], 3)]);
+        let keyed = enc(&[1], &[(&[10], 4)]);
+        let j = lookup_join_enc(&base, &keyed);
+        assert_eq!(j.schema(), &schema(&[0, 1]));
+        assert_eq!(bag(&j), pairs(&[(&[1, 10], 8)]));
+    }
+
+    #[test]
+    fn lookup_join_with_unit_is_identity() {
+        let base = enc(&[0], &[(&[1], 2), (&[2], 3)]);
+        assert_eq!(lookup_join_enc(&base, &EncodedRelation::unit()), base);
+    }
+
+    #[test]
+    #[should_panic(expected = "subset")]
+    fn lookup_join_rejects_non_subset() {
+        let base = enc(&[0], &[(&[1], 1)]);
+        let keyed = enc(&[1], &[(&[1], 1)]);
+        let _ = lookup_join_enc(&base, &keyed);
+    }
+
+    #[test]
+    fn multiway_join_orders_by_connectivity() {
+        // R(A,B), T(C,D), S(B,C): naive left-to-right would cross-product
+        // R×T; the planner must pick S second.
+        let r = enc(&[0, 1], &[(&[1, 2], 1), (&[5, 6], 1)]);
+        let t = enc(&[2, 3], &[(&[3, 4], 1), (&[7, 8], 1)]);
+        let s = enc(&[1, 2], &[(&[2, 3], 1)]);
+        for pool in [Pool::sequential(), Pool::new(4).unwrap()] {
+            let j = multiway_join_enc(&[&r, &t, &s], &pool, &AtomicU64::new(0));
+            assert_eq!(j.schema(), &schema(&[0, 1, 2, 3]));
+            assert_eq!(bag(&j), pairs(&[(&[1, 2, 3, 4], 1)]));
         }
     }
 
     #[test]
-    fn hash_join_enc_build_side_ties_behave_like_legacy() {
-        // Equal sizes take the right-hash branch in both flavours; the
-        // joined bag must still agree.
-        let r = counted(&[0, 1], &[(&[1, 10], 2), (&[2, 11], 3)]);
-        let s = counted(&[1, 2], &[(&[10, 7], 5), (&[11, 8], 1)]);
-        let legacy = hash_join(&r, &s);
-        let (dict, re, se) = encode_pair(&r, &s);
-        let target = legacy.schema().clone();
-        assert_eq!(
-            hash_join_enc(&re, &se).group(&target).decode(&dict),
-            legacy.group(&target)
-        );
+    fn multiway_join_single_input() {
+        let r = enc(&[0], &[(&[1], 5)]);
+        let j = multiway_join_enc(&[&r], &Pool::sequential(), &AtomicU64::new(0));
+        assert_eq!(j, r);
     }
 
     #[test]
@@ -992,33 +626,5 @@ mod tests {
             tasks.load(Ordering::Relaxed) > 0,
             "the chunked probe ran across the pool"
         );
-    }
-
-    #[test]
-    fn sort_merge_join_matches_hash_join() {
-        let r = counted(
-            &[0, 1],
-            &[(&[1, 10], 2), (&[2, 10], 3), (&[3, 99], 1), (&[1, 10], 1)],
-        );
-        let s = counted(&[1, 2], &[(&[10, 7], 5), (&[10, 8], 1), (&[50, 1], 4)]);
-        let a = hash_join(&r, &s).group(&schema(&[0, 1, 2]));
-        let b = sort_merge_join(&r, &s).group(&schema(&[0, 1, 2]));
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn sort_merge_join_cross_product() {
-        let r = counted(&[0], &[(&[1], 2), (&[2], 1)]);
-        let s = counted(&[1], &[(&[10], 3)]);
-        let j = sort_merge_join(&r, &s);
-        assert_eq!(j.total_count(), 9);
-    }
-
-    #[test]
-    fn sort_merge_join_empty_sides() {
-        let r = counted(&[0, 1], &[]);
-        let s = counted(&[1, 2], &[(&[1, 2], 1)]);
-        assert!(sort_merge_join(&r, &s).is_empty());
-        assert!(sort_merge_join(&s, &r).is_empty());
     }
 }

@@ -11,8 +11,13 @@
 //!
 //! Every relation joined into a node here is keyed on a subset of that
 //! node's schema, so each step is a linear scan with hash lookups
-//! ([`crate::ops::lookup_join`]) — the source of the near-linear running
-//! time of §4/§5.3.
+//! ([`crate::ops::lookup_join_enc`]) — the source of the near-linear
+//! running time of §4/§5.3.
+//!
+//! Each pass has one implementation, which takes a worker pool and runs
+//! the tree level by level ([`crate::pool`]). A sequential pool runs
+//! every level as an in-order loop on the calling thread, so
+//! `Pool::sequential()` is the single-threaded engine.
 //!
 //! Both recurrences are **multilinear** in the per-row counts of their
 //! inputs (each input contributes exactly one factor to every count
@@ -22,60 +27,38 @@
 //! value, and the aggregation of that substituted form *is* the exact
 //! change of the state.
 
-use crate::ops::{
-    lookup_join, lookup_join_enc, multiway_join, multiway_join_enc, multiway_join_enc_pooled,
-};
-use crate::pool::Pool;
-use std::sync::atomic::{AtomicU64, Ordering};
-use tsens_data::{CountedRelation, Database, Dict, EncodedRelation};
-use tsens_query::{ConjunctiveQuery, DecompositionTree};
+use crate::ops::{lookup_join_enc, multiway_join_enc};
+use crate::pool::{levels_by_depth, levels_by_height, run_level, Pool};
+use std::sync::atomic::AtomicU64;
+use std::sync::Arc;
+use tsens_data::EncodedRelation;
+use tsens_query::DecompositionTree;
 
-/// Lift every atom of the query to a counted relation: duplicate rows are
-/// grouped into counts and each atom's selection predicate is applied
-/// first (§5.4 "Selections" — failing tuples are simply absent, giving
-/// them sensitivity 0).
-pub fn lift_atoms(db: &Database, cq: &ConjunctiveQuery) -> Vec<CountedRelation> {
-    cq.atoms()
-        .iter()
-        .map(|atom| {
-            let rel = db.relation(atom.relation);
-            if atom.predicate.is_trivial() {
-                CountedRelation::from_relation(rel)
-            } else {
-                CountedRelation::from_relation(
-                    &rel.filtered(|row| atom.predicate.eval(&atom.schema, row)),
-                )
-            }
-        })
-        .collect()
-}
-
-/// Materialise each bag's relation: the multiplicity-join of its atoms.
+/// Materialise each bag's relation: the multiplicity-join of its lifted
+/// atoms, in tree-bag order.
 ///
-/// For singleton bags (plain join trees) this is just the lifted base
-/// relation; for GHD bags it is the in-bag join, whose size is the
-/// `O(n^p)` factor of §5.4's complexity bound.
-pub fn bag_relations(
-    db: &Database,
-    cq: &ConjunctiveQuery,
+/// A singleton bag *is* its lifted atom, so it is shared (one `Arc`
+/// clone) rather than copied; only multi-atom GHD bags materialise an
+/// in-bag join — the `O(n^p)` factor of §5.4's complexity bound. Those
+/// joins (cyclic GHD bags like q3's root) fan out via
+/// [`multiway_join_enc`]'s per-step partitioning, which sidesteps nested
+/// `pool.run` calls entirely. Used by both the exact pass cache and the
+/// top-k capped passes so the two paths cannot diverge.
+pub fn bag_relations_from_arcs_pooled(
+    lifted: &[Arc<EncodedRelation>],
     tree: &DecompositionTree,
-) -> Vec<CountedRelation> {
-    let lifted = lift_atoms(db, cq);
-    bag_relations_from(&lifted, tree)
-}
-
-/// [`bag_relations`] over pre-lifted atoms (lets callers that also need
-/// the individual lifted atoms, like the TSens multiplicity-table step,
-/// lift only once).
-pub fn bag_relations_from(
-    lifted: &[CountedRelation],
-    tree: &DecompositionTree,
-) -> Vec<CountedRelation> {
+    pool: &Pool,
+    join_tasks: &AtomicU64,
+) -> Vec<Arc<EncodedRelation>> {
     tree.bags()
         .iter()
-        .map(|bag| {
-            let refs: Vec<&CountedRelation> = bag.atoms.iter().map(|&ai| &lifted[ai]).collect();
-            multiway_join(&refs)
+        .map(|bag| match bag.atoms[..] {
+            [ai] => Arc::clone(&lifted[ai]),
+            _ => {
+                let refs: Vec<&EncodedRelation> =
+                    bag.atoms.iter().map(|&ai| &*lifted[ai]).collect();
+                Arc::new(multiway_join_enc(&refs, pool, join_tasks))
+            }
         })
         .collect()
 }
@@ -84,276 +67,22 @@ pub fn bag_relations_from(
 /// root's botjoin is grouped onto the **empty** schema, so its single
 /// entry's count is the bag-semantics output size `|Q(D)|` (this is where
 /// our implementation folds the paper's separate root case of Algorithm 2
-/// step I into the same formula).
-pub fn botjoin_pass(tree: &DecompositionTree, bags: &[CountedRelation]) -> Vec<CountedRelation> {
-    let mut bots: Vec<Option<CountedRelation>> = vec![None; tree.bag_count()];
-    for v in tree.post_order() {
-        let mut acc = bags[v].clone();
-        for &c in tree.children(v) {
-            let child_bot = bots[c].as_ref().expect("post-order visits children first");
-            acc = lookup_join(&acc, child_bot);
-        }
-        bots[v] = Some(acc.group(&tree.up_schema(v)));
-    }
-    bots.into_iter()
-        .map(|b| b.expect("all bags visited"))
-        .collect()
-}
-
-/// Pre-order ⊤ pass (Eqn 8). `tops[v]` has schema `S_v ∩ S_{p(v)}` and
-/// counts the partial-join paths through the *complement* of `v`'s
-/// subtree. `tops[root]` is the unit relation (no constraint, count 1),
-/// which subsumes the paper's "if p(R_i) is root" special case.
-pub fn topjoin_pass(
-    tree: &DecompositionTree,
-    bags: &[CountedRelation],
-    bots: &[CountedRelation],
-) -> Vec<CountedRelation> {
-    let mut tops: Vec<Option<CountedRelation>> = vec![None; tree.bag_count()];
-    for v in tree.pre_order() {
-        let Some(p) = tree.parent(v) else {
-            tops[v] = Some(CountedRelation::unit());
-            continue;
-        };
-        let parent_top = tops[p].as_ref().expect("pre-order visits parents first");
-        let mut acc = lookup_join(&bags[p], parent_top);
-        for s in tree.neighbors(v) {
-            acc = lookup_join(&acc, &bots[s]);
-        }
-        tops[v] = Some(acc.group(&tree.up_schema(v)));
-    }
-    tops.into_iter()
-        .map(|t| t.expect("all bags visited"))
-        .collect()
-}
-
-// ---------------------------------------------------------------------------
-// Dictionary-encoded passes (the hot path).
-// ---------------------------------------------------------------------------
-
-/// Build a dictionary for one query run: the sorted distinct values of
-/// the relations the query's atoms reference.
+/// step I into the same formula). The first child join reads `bags[v]`
+/// in place, so leaf-heavy trees never copy a bag.
 ///
-/// **Legacy / standalone use only.** The serving path no longer calls
-/// this: [`crate::session::EngineSession`] builds one database-wide
-/// dictionary at construction (via [`tsens_data::EncodedDatabase`]) and
-/// amortizes it over every query, so the per-query rescan this function
-/// performs is gone from the `count_query`/`tsens*` hot paths. It is kept
-/// for tests and for callers that need a minimal dictionary over a single
-/// query's relations without a session.
-pub fn query_dict(db: &Database, cq: &ConjunctiveQuery) -> Dict {
-    let mut rels: Vec<usize> = cq.atoms().iter().map(|a| a.relation).collect();
-    rels.sort_unstable();
-    rels.dedup();
-    let mut ints: Vec<i64> = Vec::new();
-    let mut strs: Vec<tsens_data::Value> = Vec::new();
-    for ri in rels {
-        for row in db.relation(ri).rows() {
-            for v in row {
-                match v.as_int() {
-                    Some(x) => ints.push(x),
-                    None => strs.push(v.clone()),
-                }
-            }
-        }
-    }
-    Dict::from_parts(ints, strs)
-}
-
-/// [`lift_atoms`] into the encoded representation: selection predicates
-/// are applied on the original `Value` rows, surviving rows are encoded
-/// through `dict` into one flat buffer, and duplicates are grouped
-/// (projections like q2's `π_{SK,PK}(Lineitem)` shrink several-fold
-/// here, which every later pass step then benefits from).
-///
-/// # Panics
-/// Panics if a database value is missing from `dict` (always build the
-/// dictionary with [`query_dict`] on the same database and query).
-pub fn lift_atoms_enc(db: &Database, cq: &ConjunctiveQuery, dict: &Dict) -> Vec<EncodedRelation> {
-    cq.atoms()
-        .iter()
-        .map(|atom| {
-            let rel = db.relation(atom.relation);
-            let mut raw = EncodedRelation::with_capacity(rel.schema().clone(), rel.len());
-            for row in rel.rows() {
-                if atom.predicate.is_trivial() || atom.predicate.eval(&atom.schema, row) {
-                    raw.push_mapped(row.iter().map(|v| dict.code(v)), 1);
-                }
-            }
-            // Grouping onto the full schema merges duplicate rows into
-            // counts and sorts deterministically.
-            raw.group(rel.schema())
-        })
-        .collect()
-}
-
-/// [`bag_relations_from`] over encoded lifted atoms.
-pub fn bag_relations_from_enc(
-    lifted: &[EncodedRelation],
-    tree: &DecompositionTree,
-) -> Vec<EncodedRelation> {
-    tree.bags()
-        .iter()
-        .map(|bag| {
-            let refs: Vec<&EncodedRelation> = bag.atoms.iter().map(|&ai| &lifted[ai]).collect();
-            multiway_join_enc(&refs)
-        })
-        .collect()
-}
-
-/// [`bag_relations_from_enc`] over `Arc`-shared lifted atoms — the
-/// session-layer flavour. A singleton bag *is* its lifted atom, so it is
-/// shared (one `Arc` clone) rather than copied; only multi-atom GHD bags
-/// materialise an in-bag join. Used by both the exact pass cache and the
-/// top-k capped passes so the two paths cannot diverge.
-pub fn bag_relations_from_arcs(
-    lifted: &[std::sync::Arc<EncodedRelation>],
-    tree: &DecompositionTree,
-) -> Vec<std::sync::Arc<EncodedRelation>> {
-    tree.bags()
-        .iter()
-        .map(|bag| match bag.atoms[..] {
-            [ai] => std::sync::Arc::clone(&lifted[ai]),
-            _ => {
-                let refs: Vec<&EncodedRelation> =
-                    bag.atoms.iter().map(|&ai| &*lifted[ai]).collect();
-                std::sync::Arc::new(multiway_join_enc(&refs))
-            }
-        })
-        .collect()
-}
-
-/// [`botjoin_pass`] over encoded bag relations (Eqn 7). The first child
-/// join reads `bags[v]` in place, so leaf-heavy trees never copy a bag.
-pub fn botjoin_pass_enc(
-    tree: &DecompositionTree,
-    bags: &[EncodedRelation],
-) -> Vec<EncodedRelation> {
-    let refs: Vec<&EncodedRelation> = bags.iter().collect();
-    botjoin_pass_enc_refs(tree, &refs)
-}
-
-/// [`botjoin_pass_enc`] over borrowed bags — the session layer holds its
-/// bag relations behind shared `Arc`s and passes references here, so a
-/// cached bag is never copied just to run a pass.
-pub fn botjoin_pass_enc_refs(
-    tree: &DecompositionTree,
-    bags: &[&EncodedRelation],
-) -> Vec<EncodedRelation> {
-    let mut bots: Vec<Option<EncodedRelation>> = vec![None; tree.bag_count()];
-    for v in tree.post_order() {
-        let mut acc: Option<EncodedRelation> = None;
-        for &c in tree.children(v) {
-            let child_bot = bots[c].as_ref().expect("post-order visits children first");
-            let joined = lookup_join_enc(acc.as_ref().unwrap_or(bags[v]), child_bot);
-            acc = Some(joined);
-        }
-        let grouped = match acc {
-            Some(a) => a.group(&tree.up_schema(v)),
-            None => bags[v].group(&tree.up_schema(v)),
-        };
-        bots[v] = Some(grouped);
-    }
-    bots.into_iter()
-        .map(|b| b.expect("all bags visited"))
-        .collect()
-}
-
-/// [`topjoin_pass`] over encoded bag relations (Eqn 8).
-///
-/// The `bag(p) r⋈ ⊤(p)` prefix of Eqn 8 is identical for every child of
-/// `p`, so it is computed **once per parent** and shared — with many
-/// children (star GHDs, q3's root) this saves `k − 1` full scans of the
-/// parent's bag.
-pub fn topjoin_pass_enc(
-    tree: &DecompositionTree,
-    bags: &[EncodedRelation],
-    bots: &[EncodedRelation],
-) -> Vec<EncodedRelation> {
-    let refs: Vec<&EncodedRelation> = bags.iter().collect();
-    topjoin_pass_enc_refs(tree, &refs, bots)
-}
-
-/// [`topjoin_pass_enc`] over borrowed bags (see
-/// [`botjoin_pass_enc_refs`]).
-pub fn topjoin_pass_enc_refs(
-    tree: &DecompositionTree,
-    bags: &[&EncodedRelation],
-    bots: &[EncodedRelation],
-) -> Vec<EncodedRelation> {
-    let mut tops: Vec<Option<EncodedRelation>> = vec![None; tree.bag_count()];
-    // base[p] = bags[p] r⋈ ⊤(p), filled lazily on first use.
-    let mut base: Vec<Option<EncodedRelation>> = vec![None; tree.bag_count()];
-    for v in tree.pre_order() {
-        let Some(p) = tree.parent(v) else {
-            tops[v] = Some(EncodedRelation::unit());
-            continue;
-        };
-        if base[p].is_none() {
-            let parent_top = tops[p].as_ref().expect("pre-order visits parents first");
-            base[p] = Some(lookup_join_enc(bags[p], parent_top));
-        }
-        let shared = base[p].as_ref().expect("just filled");
-        let mut acc: Option<EncodedRelation> = None;
-        for s in tree.neighbors(v) {
-            let joined = lookup_join_enc(acc.as_ref().unwrap_or(shared), &bots[s]);
-            acc = Some(joined);
-        }
-        let acc = acc.unwrap_or_else(|| shared.clone());
-        tops[v] = Some(acc.group(&tree.up_schema(v)));
-    }
-    tops.into_iter()
-        .map(|t| t.expect("all bags visited"))
-        .collect()
-}
-
-// ---------------------------------------------------------------------------
-// Pooled (level-wise parallel) pass variants.
-// ---------------------------------------------------------------------------
-
-/// [`bag_relations_from_arcs`] with multi-atom in-bag joins running
-/// through the parallel partitioned join. Singleton bags are still `Arc`
-/// shares; only genuine in-bag joins (cyclic GHD bags like q3's root)
-/// fan out, via [`multiway_join_enc_pooled`]'s per-step partitioning —
-/// which sidesteps nested `pool.run` calls entirely.
-pub fn bag_relations_from_arcs_pooled(
-    lifted: &[std::sync::Arc<EncodedRelation>],
-    tree: &DecompositionTree,
-    pool: &Pool,
-    join_tasks: &AtomicU64,
-) -> Vec<std::sync::Arc<EncodedRelation>> {
-    tree.bags()
-        .iter()
-        .map(|bag| match bag.atoms[..] {
-            [ai] => std::sync::Arc::clone(&lifted[ai]),
-            _ => {
-                let refs: Vec<&EncodedRelation> =
-                    bag.atoms.iter().map(|&ai| &*lifted[ai]).collect();
-                std::sync::Arc::new(multiway_join_enc_pooled(&refs, pool, join_tasks))
-            }
-        })
-        .collect()
-}
-
-/// [`botjoin_pass_enc_refs`] scheduled level-wise across `pool`: Eqn 7
-/// only couples a bag to its children, so all bags of equal height are
-/// independent — each level fans out, and the pool's scope join is the
-/// barrier that upholds post-order. Per-bag work is byte-for-byte the
-/// sequential loop body; a sequential pool takes the sequential pass
-/// verbatim. Each parallel bag adds one to `tasks`.
+/// Eqn 7 only couples a bag to its children, so all bags of equal height
+/// are independent: each level fans out across `pool`, and the pool's
+/// scope join is the barrier that upholds post-order. Bags of a level
+/// that really runs in parallel add one each to `tasks`.
 pub fn botjoin_pass_enc_pooled(
     tree: &DecompositionTree,
     bags: &[&EncodedRelation],
     pool: &Pool,
     tasks: &AtomicU64,
 ) -> Vec<EncodedRelation> {
-    if pool.is_sequential() {
-        return botjoin_pass_enc_refs(tree, bags);
-    }
     let mut bots: Vec<Option<EncodedRelation>> = vec![None; tree.bag_count()];
-    for level in crate::pool::levels_by_height(tree) {
-        tasks.fetch_add(level.len() as u64, Ordering::Relaxed);
-        let computed = pool.run(level.len(), |k| {
+    for level in levels_by_height(tree) {
+        let computed = run_level(pool, tasks, level.len(), |k| {
             let v = level[k];
             let mut acc: Option<EncodedRelation> = None;
             for &c in tree.children(v) {
@@ -375,13 +104,19 @@ pub fn botjoin_pass_enc_pooled(
         .collect()
 }
 
-/// [`topjoin_pass_enc_refs`] scheduled level-wise across `pool` (levels
-/// by depth, root first). Each level runs in two parallel steps mirroring
-/// the sequential pass's shared-prefix optimisation: first the distinct
-/// parents' `bag(p) r⋈ ⊤(p)` bases (one task per parent — every parent of
-/// a depth-`d` bag sits at depth `d−1`, so its ⊤ is ready), then the
-/// per-bag sibling joins. Sibling ⊥ values come from the finished ⊥ pass,
-/// so bags within a level never depend on each other.
+/// Pre-order ⊤ pass (Eqn 8). `tops[v]` has schema `S_v ∩ S_{p(v)}` and
+/// counts the partial-join paths through the *complement* of `v`'s
+/// subtree. `tops[root]` is the unit relation (no constraint, count 1),
+/// which subsumes the paper's "if p(R_i) is root" special case.
+///
+/// Levels run by depth, root first, each in two steps. First the
+/// distinct parents' `bag(p) r⋈ ⊤(p)` bases: this prefix of Eqn 8 is the
+/// same for every child of `p`, so it is computed **once per parent**
+/// (every parent of a depth-`d` bag sits at depth `d−1`, so its ⊤ is
+/// ready). Then the per-bag sibling joins; sibling ⊥ values come from the
+/// finished ⊥ pass, so bags within a level never depend on each other.
+/// Both steps fan out across `pool`, and each step that really runs in
+/// parallel adds its unit count to `tasks`.
 pub fn topjoin_pass_enc_pooled(
     tree: &DecompositionTree,
     bags: &[&EncodedRelation],
@@ -389,12 +124,9 @@ pub fn topjoin_pass_enc_pooled(
     pool: &Pool,
     tasks: &AtomicU64,
 ) -> Vec<EncodedRelation> {
-    if pool.is_sequential() {
-        return topjoin_pass_enc_refs(tree, bags, bots);
-    }
     let mut tops: Vec<Option<EncodedRelation>> = vec![None; tree.bag_count()];
     tops[tree.root()] = Some(EncodedRelation::unit());
-    let levels = crate::pool::levels_by_depth(tree);
+    let levels = levels_by_depth(tree);
     for level in &levels[1..] {
         let mut parents: Vec<usize> = level
             .iter()
@@ -402,8 +134,7 @@ pub fn topjoin_pass_enc_pooled(
             .collect();
         parents.sort_unstable();
         parents.dedup();
-        tasks.fetch_add(parents.len() as u64, Ordering::Relaxed);
-        let bases = pool.run(parents.len(), |k| {
+        let bases = run_level(pool, tasks, parents.len(), |k| {
             let p = parents[k];
             let parent_top = tops[p].as_ref().expect("shallower level already computed");
             lookup_join_enc(bags[p], parent_top)
@@ -412,8 +143,7 @@ pub fn topjoin_pass_enc_pooled(
         for (k, b) in bases.into_iter().enumerate() {
             base[parents[k]] = Some(b);
         }
-        tasks.fetch_add(level.len() as u64, Ordering::Relaxed);
-        let computed = pool.run(level.len(), |k| {
+        let computed = run_level(pool, tasks, level.len(), |k| {
             let v = level[k];
             let p = tree.parent(v).expect("non-root level");
             let shared = base[p].as_ref().expect("parent base just computed");
@@ -437,8 +167,23 @@ pub fn topjoin_pass_enc_pooled(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tsens_data::{Relation, Row, Schema, Value};
-    use tsens_query::gyo_decompose;
+    use crate::session::{EngineSession, QueryPasses};
+    use tsens_data::{Database, Relation, Row, Schema, Value};
+    use tsens_query::{gyo_decompose, ConjunctiveQuery};
+
+    /// Bags and ⊥ pass of `(q, tree)` over a sequential session, with
+    /// the ⊤ pass forced.
+    fn run_passes(
+        db: &Database,
+        q: &ConjunctiveQuery,
+        tree: &DecompositionTree,
+    ) -> Arc<QueryPasses> {
+        let passes = EngineSession::with_pool(db, Pool::sequential())
+            .passes(q, tree)
+            .unwrap();
+        passes.tops(tree);
+        passes
+    }
 
     /// The paper's Figure 3 database:
     /// R1(A,B), R2(B,C), R3(C,D), R4(D,E).
@@ -487,11 +232,10 @@ mod tests {
     #[test]
     fn botjoin_root_counts_output_size() {
         let (db, q, tree) = figure3();
-        let bags = bag_relations(&db, &q, &tree);
-        let bots = botjoin_pass(&tree, &bags);
+        let passes = run_passes(&db, &q, &tree);
         // Cross-check against brute force.
         let brute = crate::naive_eval::naive_count(&db, &q);
-        assert_eq!(bots[tree.root()].total_count(), brute);
+        assert_eq!(passes.bots[tree.root()].total_count(), brute);
         assert!(brute > 0);
     }
 
@@ -525,9 +269,8 @@ mod tests {
         .unwrap();
         let q = ConjunctiveQuery::over(&db, "fig3b", &["R1", "R2", "R3", "R4"]).unwrap();
         let tree = gyo_decompose(&q).unwrap().expect_acyclic("acyclic");
-        let bags = bag_relations(&db, &q, &tree);
-        let bots = botjoin_pass(&tree, &bags);
-        let tops = topjoin_pass(&tree, &bags, &bots);
+        let passes = run_passes(&db, &q, &tree);
+        let (bots, tops) = (&passes.bots, passes.tops(&tree));
 
         // |Q(D)| = 4 (paper's Figure 3 output: 4 rows).
         assert_eq!(bots[tree.root()].total_count(), 4);
@@ -547,11 +290,11 @@ mod tests {
         // child): each has a single entry of count 2.
         let t2 = &tops[n2];
         assert_eq!(t2.len(), 1);
-        assert_eq!(t2.entries()[0].1, 2);
+        assert_eq!(t2.count(0), 2);
         assert_eq!(tree.parent(n1), Some(n2));
         let b1 = &bots[n1];
         assert_eq!(b1.len(), 1);
-        assert_eq!(b1.entries()[0].1, 2);
+        assert_eq!(b1.count(0), 2);
         assert_eq!(b1.schema().attrs(), &[b]);
         let _ = (a, c, d, e);
     }
@@ -561,29 +304,26 @@ mod tests {
         let (db, q, tree) = figure3();
         let a = db.attr_id("A").unwrap();
         let q2 = q.with_predicate(&db, "R1", tsens_query::Predicate::eq(a, Value::Int(1)));
-        let bags = bag_relations(&db, &q2, &tree);
+        let passes = run_passes(&db, &q2, &tree);
         // Only the two A=1 rows of R1 survive in its bag.
         let node_of_atom0 = (0..tree.bag_count())
             .find(|&bn| tree.bags()[bn].atoms.contains(&0))
             .unwrap();
-        assert_eq!(bags[node_of_atom0].total_count(), 2);
+        assert_eq!(passes.bags[node_of_atom0].total_count(), 2);
     }
 
     #[test]
     fn top_of_root_is_unit() {
         let (db, q, tree) = figure3();
-        let bags = bag_relations(&db, &q, &tree);
-        let bots = botjoin_pass(&tree, &bags);
-        let tops = topjoin_pass(&tree, &bags, &bots);
-        assert_eq!(tops[tree.root()], CountedRelation::unit());
+        let passes = run_passes(&db, &q, &tree);
+        assert_eq!(passes.tops(&tree)[tree.root()], EncodedRelation::unit());
     }
 
     #[test]
     fn bot_schemas_match_up_schemas() {
         let (db, q, tree) = figure3();
-        let bags = bag_relations(&db, &q, &tree);
-        let bots = botjoin_pass(&tree, &bags);
-        for (v, bot) in bots.iter().enumerate() {
+        let passes = run_passes(&db, &q, &tree);
+        for (v, bot) in passes.bots.iter().enumerate() {
             assert_eq!(bot.schema(), &tree.up_schema(v));
         }
     }

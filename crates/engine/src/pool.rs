@@ -17,8 +17,24 @@
 //! available per-bag parallelism; for a path-shaped tree every level has
 //! one bag and the schedule degenerates to the sequential order.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 pub use tsens_data::par::{Pool, THREADS_ENV};
 use tsens_query::DecompositionTree;
+
+/// Run one level's `units` through [`Pool::run`], adding `units` to
+/// `counter` only when the level really fans out: at least two units on
+/// a multi-threaded pool. A single unit, or any level on a sequential
+/// pool, runs inline on the calling thread and counts nothing.
+pub(crate) fn run_level<T, F>(pool: &Pool, counter: &AtomicU64, units: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    if pool.size() > 1 && units > 1 {
+        counter.fetch_add(units as u64, Ordering::Relaxed);
+    }
+    pool.run(units, f)
+}
 
 /// Bags grouped by height (distance to the deepest leaf below them):
 /// `levels[0]` are the leaves, `levels.last()` contains the root. Within

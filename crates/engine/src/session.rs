@@ -49,10 +49,9 @@
 //! dictionary rebuild (see `SessionStats`' invalidation counters).
 //!
 //! All caches sit behind `Mutex`es, making the session `Sync`: one warm
-//! session can serve many threads (`tsens_parallel` already fans its
-//! table computations out over a shared pass state). Mutation takes
-//! `&mut self`, so the borrow checker still serializes updates against
-//! in-flight queries.
+//! session can serve many threads over a shared pass state. Mutation
+//! takes `&mut self`, so the borrow checker still serializes updates
+//! against in-flight queries.
 
 use crate::passes::{
     bag_relations_from_arcs_pooled, botjoin_pass_enc_pooled, topjoin_pass_enc_pooled,
@@ -215,7 +214,8 @@ pub struct SessionStats {
     /// Worker-pool size this session runs on (1 = sequential paths).
     pub pool_threads: u64,
     /// Per-bag pass units executed in parallel (⊥/⊤ level-wise
-    /// scheduling); 0 under a sequential pool.
+    /// scheduling): only levels with at least two units count, so this
+    /// is 0 under a sequential pool and for path-shaped trees.
     pub parallel_pass_tasks: u64,
     /// Partition pairs joined in parallel
     /// ([`crate::ops::partitioned_hash_join_enc`]); 0 under a sequential
@@ -304,8 +304,8 @@ pub struct EngineSession<'a> {
     mf: Mutex<FastMap<(usize, Vec<AttrId>), Count>>,
     stats: StatCounters,
     /// Intra-query worker pool: passes, large joins and encoding fan out
-    /// across it. `Pool::sequential()` pins every algorithm to the
-    /// original sequential code paths.
+    /// across it. `Pool::sequential()` runs every algorithm in order on
+    /// the calling thread.
     pool: Pool,
 }
 
@@ -1421,7 +1421,7 @@ impl std::fmt::Debug for EngineSession<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::yannakakis::count_query_legacy;
+    use crate::naive_eval::naive_count;
     use tsens_data::{Relation, Row, Schema, Value};
     use tsens_query::{gyo_decompose, Predicate};
 
@@ -1451,10 +1451,10 @@ mod tests {
     }
 
     #[test]
-    fn count_matches_legacy_and_hits_cache_when_warm() {
+    fn count_matches_naive_and_hits_cache_when_warm() {
         let (db, q, tree) = path_db();
         let session = EngineSession::new(&db);
-        let expected = count_query_legacy(&db, &q, &tree);
+        let expected = naive_count(&db, &q);
         assert_eq!(session.count_query(&q, &tree).unwrap(), expected);
         assert_eq!(session.count_query(&q, &tree).unwrap(), expected);
         let stats = session.stats();
@@ -1477,10 +1477,10 @@ mod tests {
         assert_eq!(l1.total_count(), 2);
         let stats = session.stats();
         assert_eq!((stats.atom_misses, stats.atom_hits), (1, 1));
-        // Counting under the predicate matches the legacy path.
+        // Counting under the predicate matches the oracle.
         assert_eq!(
             session.count_query(&q1, &tree).unwrap(),
-            count_query_legacy(&db, &q1, &tree)
+            naive_count(&db, &q1)
         );
     }
 
@@ -1571,7 +1571,7 @@ mod tests {
         // And it matches a from-scratch run on the mutated catalog.
         assert_eq!(
             session.count_query(&q, &tree).unwrap(),
-            count_query_legacy(session.database(), &q, &tree)
+            naive_count(session.database(), &q)
         );
     }
 
@@ -1638,7 +1638,7 @@ mod tests {
         assert_eq!(session.count_query(&q, &tree).unwrap(), before);
         assert_eq!(
             session.count_query(&q, &tree).unwrap(),
-            count_query_legacy(session.database(), &q, &tree)
+            naive_count(session.database(), &q)
         );
         // Delete it again: back to the original database.
         assert!(session
@@ -1690,7 +1690,7 @@ mod tests {
         let session = EngineSession::for_query(&db, &q);
         assert_eq!(
             session.count_query(&q, &tree).unwrap(),
-            count_query_legacy(&db, &q, &tree)
+            naive_count(&db, &q)
         );
         // A genuinely partial session (S only) is read-only, and says so
         // with a typed error instead of panicking.
@@ -1754,7 +1754,7 @@ mod tests {
         assert_eq!(session.stats().dict_epochs, 1, "one deferred epoch");
         assert_eq!(
             session.count_query(&q, &tree).unwrap(),
-            count_query_legacy(session.database(), &q, &tree)
+            naive_count(session.database(), &q)
         );
         let _ = before;
     }

@@ -7,7 +7,6 @@
 //! §7.2 procedure: "we first compute the join for each node in the
 //! generalized hypertree, and then apply Yannakakis algorithm").
 
-use crate::passes::{bag_relations, botjoin_pass};
 use tsens_data::{Count, Database};
 use tsens_query::{ConjunctiveQuery, DecompositionTree};
 
@@ -20,20 +19,11 @@ use tsens_query::{ConjunctiveQuery, DecompositionTree};
 /// never pays for the rest of the catalog. Callers answering more than
 /// one query over the same database should hold a full
 /// [`crate::session::EngineSession`] instead — the encoding, the lifted
-/// atoms, and the ⊥ pass are then amortized across queries. The legacy
-/// `Value`-row pass is kept as [`count_query_legacy`] for cross-checks.
+/// atoms, and the ⊥ pass are then amortized across queries.
 pub fn count_query(db: &Database, cq: &ConjunctiveQuery, tree: &DecompositionTree) -> Count {
     crate::session::EngineSession::for_query(db, cq)
         .count_query(cq, tree)
         .expect("one-shot sessions are resident over their query")
-}
-
-/// [`count_query`] over the legacy `Value`-row operators — ground truth
-/// for the encoded fast path in tests.
-pub fn count_query_legacy(db: &Database, cq: &ConjunctiveQuery, tree: &DecompositionTree) -> Count {
-    let bags = bag_relations(db, cq, tree);
-    let bots = botjoin_pass(tree, &bags);
-    bots[tree.root()].total_count()
 }
 
 #[cfg(test)]

@@ -1,22 +1,23 @@
-//! Property tests: the dictionary-encoded fast path is observationally
-//! identical to the legacy `Value`-row engine.
+//! Property tests: the encoded ⊥/⊤ passes agree with the brute-force
+//! oracle [`naive_count`].
 //!
-//! For random path, star and triangle databases (with mixed Int/Str
+//! For random path, star and triangle-GHD databases (with mixed Int/Str
 //! columns) we check that
 //!
-//! * [`count_query`] (encoded) == [`count_query_legacy`] == `naive_count`;
-//! * every node's encoded ⊥/⊤ summary, decoded back through the
-//!   dictionary, equals the legacy pass output **exactly** — same rows,
-//!   same counts, same (deterministic) order.
+//! * [`count_query`] == `naive_count`;
+//! * at **every** bag `v`, `Σₖ ⊥(v)[k]·⊤(v)[k]` — the lookup join of the
+//!   two summaries — equals `naive_count`: ⊥(v) counts the join of `v`'s
+//!   subtree and ⊤(v) the join of its complement, and by the
+//!   running-intersection property the two share exactly the key `k`;
+//! * the sequential pool and a 4-thread pool produce byte-identical bags
+//!   and ⊥/⊤ summaries.
 
 use proptest::prelude::*;
-use tsens_data::{Database, Dict, Relation, Schema, Value};
+use tsens_data::{Database, Relation, Schema, Value};
 use tsens_engine::naive_eval::naive_count;
-use tsens_engine::passes::{
-    bag_relations, bag_relations_from_enc, botjoin_pass, botjoin_pass_enc, lift_atoms_enc,
-    topjoin_pass, topjoin_pass_enc,
-};
-use tsens_engine::yannakakis::{count_query, count_query_legacy};
+use tsens_engine::ops::lookup_join_enc;
+use tsens_engine::yannakakis::count_query;
+use tsens_engine::{EngineSession, Pool};
 use tsens_query::{auto_decompose, gyo_decompose, ConjunctiveQuery, DecompositionTree};
 
 /// Mixed-type value: a third of the domain becomes strings so the
@@ -55,30 +56,25 @@ fn database(edges: &[(&str, &str)], rows: &[Vec<Vec<i64>>]) -> (Database, Conjun
     (db, q)
 }
 
-/// Assert the encoded passes match the legacy ones node for node.
-fn assert_passes_equivalent(db: &Database, q: &ConjunctiveQuery, tree: &DecompositionTree) {
-    // Counts: encoded == legacy == brute force.
-    let enc = count_query(db, q, tree);
-    let leg = count_query_legacy(db, q, tree);
+/// Assert the passes match the oracle at every node, under both pools.
+fn assert_passes_match_naive(db: &Database, q: &ConjunctiveQuery, tree: &DecompositionTree) {
     let brute = naive_count(db, q);
-    assert_eq!(enc, leg, "encoded vs legacy count");
-    assert_eq!(enc, brute, "encoded vs naive count");
+    assert_eq!(count_query(db, q, tree), brute, "count vs naive");
 
-    // Summaries: decode(⊥_enc) == ⊥ and decode(⊤_enc) == ⊤ exactly.
-    let dict = Dict::from_database(db);
-    let lifted_enc = lift_atoms_enc(db, q, &dict);
-    let bags_enc = bag_relations_from_enc(&lifted_enc, tree);
-    let bots_enc = botjoin_pass_enc(tree, &bags_enc);
-    let tops_enc = topjoin_pass_enc(tree, &bags_enc, &bots_enc);
-
-    let bags = bag_relations(db, q, tree);
-    let bots = botjoin_pass(tree, &bags);
-    let tops = topjoin_pass(tree, &bags, &bots);
-
-    for v in 0..tree.bag_count() {
-        assert_eq!(bots_enc[v].decode(&dict), bots[v], "⊥ mismatch at node {v}");
-        assert_eq!(tops_enc[v].decode(&dict), tops[v], "⊤ mismatch at node {v}");
+    let seq_session = EngineSession::with_pool(db, Pool::sequential());
+    let par_session = EngineSession::with_pool(db, Pool::new(4).unwrap());
+    let seq = seq_session.passes(q, tree).unwrap();
+    let par = par_session.passes(q, tree).unwrap();
+    for passes in [&seq, &par] {
+        for (v, (bot, top)) in passes.bots.iter().zip(passes.tops(tree)).enumerate() {
+            let through_v = lookup_join_enc(bot, top).total_count();
+            assert_eq!(through_v, brute, "Σ ⊥(v)·⊤(v) vs naive at node {v}");
+        }
     }
+
+    assert_eq!(seq.bags, par.bags, "bags differ between pools");
+    assert_eq!(seq.bots, par.bots, "⊥ differs between pools");
+    assert_eq!(seq.tops(tree), par.tops(tree), "⊤ differs between pools");
 }
 
 fn rows_strategy(max_rows: usize, domain: i64) -> impl Strategy<Value = Vec<Vec<i64>>> {
@@ -90,7 +86,7 @@ proptest! {
 
     /// Path query R0(A0,A1) ⋈ R1(A1,A2) ⋈ R2(A2,A3).
     #[test]
-    fn encoded_matches_legacy_on_paths(
+    fn passes_match_naive_on_paths(
         r0 in rows_strategy(12, 4),
         r1 in rows_strategy(12, 4),
         r2 in rows_strategy(12, 4),
@@ -100,12 +96,12 @@ proptest! {
             &[r0, r1, r2],
         );
         let tree = gyo_decompose(&q).unwrap().expect_acyclic("path is acyclic");
-        assert_passes_equivalent(&db, &q, &tree);
+        assert_passes_match_naive(&db, &q, &tree);
     }
 
     /// Star query R0(H,A) ⋈ R1(H,B) ⋈ R2(H,C) around a shared hub.
     #[test]
-    fn encoded_matches_legacy_on_stars(
+    fn passes_match_naive_on_stars(
         r0 in rows_strategy(10, 3),
         r1 in rows_strategy(10, 3),
         r2 in rows_strategy(10, 3),
@@ -115,12 +111,12 @@ proptest! {
             &[r0, r1, r2],
         );
         let tree = gyo_decompose(&q).unwrap().expect_acyclic("star is acyclic");
-        assert_passes_equivalent(&db, &q, &tree);
+        assert_passes_match_naive(&db, &q, &tree);
     }
 
     /// Triangle query R0(A,B) ⋈ R1(B,C) ⋈ R2(C,A) through a GHD.
     #[test]
-    fn encoded_matches_legacy_on_triangles(
+    fn passes_match_naive_on_triangles(
         r0 in rows_strategy(8, 3),
         r1 in rows_strategy(8, 3),
         r2 in rows_strategy(8, 3),
@@ -130,6 +126,6 @@ proptest! {
             &[r0, r1, r2],
         );
         let ghd = auto_decompose(&q).unwrap();
-        assert_passes_equivalent(&db, &q, &ghd);
+        assert_passes_match_naive(&db, &q, &ghd);
     }
 }

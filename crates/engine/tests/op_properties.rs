@@ -1,25 +1,25 @@
 //! Algebraic properties of the multiplicity-propagating operators,
-//! checked with proptest.
+//! checked with proptest over encoded relations.
 
 use proptest::prelude::*;
-use tsens_data::{AttrId, Count, CountedRelation, Row, Schema, Value};
-use tsens_engine::ops::{hash_join, lookup_join, multiway_join, semijoin};
+use std::sync::atomic::AtomicU64;
+use tsens_data::{AttrId, Count, EncodedRelation, Schema};
+use tsens_engine::ops::{hash_join_enc, lookup_join_enc, multiway_join_enc};
+use tsens_engine::Pool;
 
 fn schema(ids: &[u32]) -> Schema {
     Schema::new(ids.iter().map(|&i| AttrId(i)).collect())
 }
 
-fn counted(sch: &[u32], entries: Vec<(Vec<i64>, Count)>) -> CountedRelation {
-    CountedRelation::from_pairs(
-        schema(sch),
-        entries
-            .into_iter()
-            .map(|(r, c)| (r.into_iter().map(Value::Int).collect::<Row>(), c))
-            .collect(),
-    )
+fn encoded(sch: &[u32], entries: Vec<(Vec<u32>, Count)>) -> EncodedRelation {
+    let mut rel = EncodedRelation::new(schema(sch));
+    for (row, c) in entries {
+        rel.push(&row, c);
+    }
+    rel
 }
 
-fn entries2(max: usize, domain: i64) -> impl Strategy<Value = Vec<(Vec<i64>, Count)>> {
+fn entries2(max: usize, domain: u32) -> impl Strategy<Value = Vec<(Vec<u32>, Count)>> {
     prop::collection::vec((prop::collection::vec(0..domain, 2..=2), 1..5u128), 0..max)
 }
 
@@ -32,10 +32,10 @@ proptest! {
         r in entries2(10, 3),
         s in entries2(10, 3),
     ) {
-        let r = counted(&[0, 1], r);
-        let s = counted(&[1, 2], s);
-        let rs = hash_join(&r, &s);
-        let sr = hash_join(&s, &r);
+        let r = encoded(&[0, 1], r);
+        let s = encoded(&[1, 2], s);
+        let rs = hash_join_enc(&r, &s);
+        let sr = hash_join_enc(&s, &r);
         prop_assert_eq!(rs.total_count(), sr.total_count());
         // Same number of distinct output rows after grouping.
         let target = schema(&[0, 1, 2]);
@@ -43,59 +43,46 @@ proptest! {
     }
 
     /// Joining with a grouped projection equals grouping the join:
-    /// γ_full(R ⋈ γ_B(S)) counts == γ over B of hash_join results.
+    /// γ_AB(R ⋈ γ_B(S)) == γ_AB(R ⋈ S).
     #[test]
     fn lookup_join_agrees_with_hash_join(
         r in entries2(10, 3),
         s in entries2(10, 3),
     ) {
-        let r = counted(&[0, 1], r);
-        let s = counted(&[1, 2], s);
+        let r = encoded(&[0, 1], r);
+        let s = encoded(&[1, 2], s);
         let keyed = s.group(&schema(&[1]));
-        let via_lookup = lookup_join(&r, &keyed);
-        let via_hash = hash_join(&r, &s).group(&schema(&[0, 1]));
-        prop_assert_eq!(via_lookup.group(&schema(&[0, 1])), via_hash);
+        let ab = schema(&[0, 1]);
+        let via_lookup = lookup_join_enc(&r, &keyed).group(&ab);
+        let via_hash = hash_join_enc(&r, &s).group(&ab);
+        prop_assert_eq!(via_lookup, via_hash);
     }
 
-    /// Semijoin keeps a subset with unchanged counts.
-    #[test]
-    fn semijoin_is_a_filter(
-        r in entries2(10, 3),
-        s in entries2(10, 3),
-    ) {
-        let r = counted(&[0, 1], r);
-        let s = counted(&[1], s.into_iter().map(|(row, c)| (vec![row[0]], c)).collect());
-        let filtered = semijoin(&r, &s);
-        prop_assert!(filtered.total_count() <= r.total_count());
-        // Grouped view: every surviving key keeps its full multiplicity
-        // (inputs may carry duplicate rows, so compare after γ).
-        let full = schema(&[0, 1]);
-        for (row, c) in filtered.group(&full).iter() {
-            prop_assert_eq!(r.group(&full).count_of(row), *c);
-        }
-    }
-
-    /// Multiway join is order-insensitive in total count.
+    /// Multiway join is order-insensitive in total count, on sequential
+    /// and parallel pools alike.
     #[test]
     fn multiway_join_total_order_invariant(
         r in entries2(8, 3),
         s in entries2(8, 3),
         t in entries2(8, 3),
     ) {
-        let r = counted(&[0, 1], r);
-        let s = counted(&[1, 2], s);
-        let t = counted(&[2, 3], t);
-        let a = multiway_join(&[&r, &s, &t]).total_count();
-        let b = multiway_join(&[&t, &r, &s]).total_count();
-        let c = multiway_join(&[&s, &t, &r]).total_count();
-        prop_assert_eq!(a, b);
-        prop_assert_eq!(b, c);
+        let r = encoded(&[0, 1], r);
+        let s = encoded(&[1, 2], s);
+        let t = encoded(&[2, 3], t);
+        let tasks = AtomicU64::new(0);
+        for pool in [Pool::sequential(), Pool::new(4).unwrap()] {
+            let a = multiway_join_enc(&[&r, &s, &t], &pool, &tasks).total_count();
+            let b = multiway_join_enc(&[&t, &r, &s], &pool, &tasks).total_count();
+            let c = multiway_join_enc(&[&s, &t, &r], &pool, &tasks).total_count();
+            prop_assert_eq!(a, b);
+            prop_assert_eq!(b, c);
+        }
     }
 
     /// Group-by is idempotent and preserves totals.
     #[test]
     fn group_is_idempotent(r in entries2(12, 4)) {
-        let r = counted(&[0, 1], r);
+        let r = encoded(&[0, 1], r);
         let g1 = r.group(&schema(&[0]));
         let g2 = g1.group(&schema(&[0]));
         prop_assert_eq!(&g1, &g2);
