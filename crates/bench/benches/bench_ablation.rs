@@ -524,6 +524,64 @@ fn bench_serving(c: &mut Criterion) {
     server.stop();
 }
 
+/// Served-write scaling: the `/update` write lane without the wire. A
+/// reader pins the published snapshot, a single-row insert publishes
+/// through `SnapshotCell::update` (fork → apply → publish), the touched
+/// join is requeried on the new snapshot; then the same for the delete.
+/// The pinned reader makes every publish share the touched relation and
+/// its pass entry with the fork, which is the server's steady state.
+/// `R(A,B)` has `n` distinct rows joined to a fixed 2000-row `S(B,C)`.
+/// `Value` rows and pass states are copied O(chunk) and O(Δ); the one
+/// remaining O(n) step is the flat `memcpy` of `R`'s encoded relation.
+fn bench_publish_requery(c: &mut Criterion) {
+    let mut group = c.benchmark_group("serving");
+    group.sample_size(if quick() { 15 } else { 20 });
+    for &n in &[10_000usize, 100_000, 1_000_000] {
+        let mut db = tsens_data::Database::new();
+        let [a, b2, c2] = db.attrs(["PA", "PB", "PC"]);
+        let r_rows = (0..n as i64)
+            .map(|i| vec![Value::Int(i), Value::Int(i % 1000)])
+            .collect();
+        let s_rows = (0..2000i64)
+            .map(|i| vec![Value::Int(i % 1000), Value::Int(i)])
+            .collect();
+        db.add_relation(
+            "R",
+            tsens_data::Relation::from_rows(Schema::new(vec![a, b2]), r_rows),
+        )
+        .unwrap();
+        db.add_relation(
+            "S",
+            tsens_data::Relation::from_rows(Schema::new(vec![b2, c2]), s_rows),
+        )
+        .unwrap();
+        let q = tsens_query::ConjunctiveQuery::over(&db, "q", &["R", "S"]).unwrap();
+        let tree = gyo_decompose(&q).unwrap().expect_acyclic("path");
+        let cell = SnapshotCell::new(EngineSession::owned(db));
+        cell.load().count_query(&q, &tree).unwrap();
+        // Known values (no dictionary epoch): row (7, 3) joins S's two
+        // B=3 rows.
+        let row = vec![Value::Int(7), Value::Int(3)];
+        group.bench_with_input(BenchmarkId::new("publish_requery", n), &n, |b, _| {
+            b.iter(|| {
+                let pinned = cell.load();
+                cell.update(|s| s.insert(0, row.clone())).unwrap();
+                black_box(cell.load().count_query(&q, &tree).unwrap());
+                let pinned_after = cell.load();
+                cell.update(|s| s.delete(0, row.clone())).unwrap();
+                black_box(cell.load().count_query(&q, &tree).unwrap());
+                black_box((pinned, pinned_after));
+            })
+        });
+        let stats = cell.load().stats();
+        assert_eq!(
+            stats.passes_invalidated, 0,
+            "publishes must repair: {stats:?}"
+        );
+    }
+    group.finish();
+}
+
 /// Durability layer: snapshot save, snapshot load vs the CSV re-encode
 /// a restart would otherwise pay, and WAL append under each fsync
 /// policy (the latency every `/update` ack carries).
@@ -691,6 +749,7 @@ criterion_group!(
     bench_updates,
     bench_ivm_scaling,
     bench_serving,
+    bench_publish_requery,
     bench_durability,
     bench_sharding
 );

@@ -841,8 +841,13 @@ pub fn updates(scale: f64, seed: u64) -> Updates {
         !db.relation(orders).is_empty(),
         "scale {scale} generates no Orders rows to replay as deltas"
     );
-    let delta_rows: Vec<tsens_data::Row> =
-        db.relation(orders).rows()[..100.min(db.relation(orders).len())].to_vec();
+    let delta_rows: Vec<tsens_data::Row> = db
+        .relation(orders)
+        .rows()
+        .iter()
+        .take(100)
+        .cloned()
+        .collect();
 
     let mut session = EngineSession::new(&db);
     let answer = |s: &EngineSession<'_>| {

@@ -24,6 +24,7 @@
 
 use crate::report::{MultiplicityTable, SensitivityReport};
 use std::sync::atomic::AtomicU64;
+use std::sync::Arc;
 use tsens_data::{Database, EncodedRelation, Schema, TsensError};
 use tsens_engine::ops::multiway_join_enc;
 use tsens_engine::session::{EngineSession, QueryPasses};
@@ -114,7 +115,7 @@ fn table_for_atom(
     cq: &ConjunctiveQuery,
     tree: &DecompositionTree,
     passes: &QueryPasses,
-    tops: &[EncodedRelation],
+    tops: &[Arc<EncodedRelation>],
     v: usize,
     ai: usize,
 ) -> MultiplicityTable {

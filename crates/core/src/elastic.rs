@@ -265,11 +265,13 @@ fn scanned_mf(rels: &[&Relation], x: &AttrSet) -> Count {
             .iter()
             .map(|&a| r.schema().position(a).expect("attr must be in relation"))
             .collect();
-        for row in r.rows() {
-            let key: Row = positions.iter().map(|&i| row[i].clone()).collect();
-            let slot = counts.entry(key).or_insert(0);
-            *slot += 1;
-            max = max.max(*slot);
+        for chunk in r.rows().chunks() {
+            for row in chunk {
+                let key: Row = positions.iter().map(|&i| row[i].clone()).collect();
+                let slot = counts.entry(key).or_insert(0);
+                *slot += 1;
+                max = max.max(*slot);
+            }
         }
     }
     max

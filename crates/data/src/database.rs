@@ -18,9 +18,11 @@ use std::sync::Arc;
 /// Relations are held behind `Arc`s, so **cloning a database is
 /// O(#relations), not O(data)**: a clone shares every relation's rows
 /// with the original and mutation forks only the touched relation
-/// (`Arc::make_mut`). This is what makes snapshot serving cheap — a
-/// writer forks the catalog, applies a delta (paying one copy of the one
-/// relation it touches), and publishes, while readers keep using the old
+/// (`Arc::make_mut`). Forking a relation copies its chunk pointers, and
+/// a single-row edit then copies the one or two chunks it writes
+/// ([`crate::Rows`]). This is what makes snapshot serving cheap — a
+/// writer forks the catalog, applies a delta (paying O(chunk) per row
+/// it touches), and publishes, while readers keep using the old
 /// snapshot.
 #[derive(Clone, Default)]
 pub struct Database {
@@ -98,7 +100,8 @@ impl Database {
 
     /// Mutable access to the relation at `idx`. Copy-on-write: if a
     /// cloned database (a pinned snapshot) still shares this relation,
-    /// the rows are forked here — the snapshot is never disturbed.
+    /// it is forked here (chunk pointers only; writes then copy the
+    /// chunks they touch) — the snapshot is never disturbed.
     pub fn relation_mut(&mut self, idx: usize) -> &mut Relation {
         Arc::make_mut(&mut self.relations[idx].1)
     }

@@ -28,6 +28,7 @@ use crate::schema::Schema;
 use crate::value::Value;
 use crate::{sat_add, Count};
 use std::fmt;
+use std::sync::Arc;
 
 /// An order-preserving `Value ⇄ u32` dictionary.
 ///
@@ -716,6 +717,53 @@ impl EncodedRelation {
         let a = self.schema.arity();
         self.codes.drain(i * a..(i + 1) * a);
         self.counts.remove(i);
+    }
+
+    /// [`EncodedRelation::insert_row_at`] through a shared handle. In
+    /// place when `this` is the only holder; otherwise the edited
+    /// relation is built in one exactly-sized copy (prefix, new row,
+    /// suffix) and the other holders keep the old one.
+    pub fn insert_row_shared(this: &mut Arc<EncodedRelation>, i: usize, row: &[u32], count: Count) {
+        if let Some(r) = Arc::get_mut(this) {
+            r.insert_row_at(i, row, count);
+            return;
+        }
+        debug_assert_eq!(row.len(), this.arity());
+        let a = this.arity();
+        let mut codes = Vec::with_capacity(this.codes.len() + a);
+        codes.extend_from_slice(&this.codes[..i * a]);
+        codes.extend_from_slice(row);
+        codes.extend_from_slice(&this.codes[i * a..]);
+        let mut counts = Vec::with_capacity(this.counts.len() + 1);
+        counts.extend_from_slice(&this.counts[..i]);
+        counts.push(count);
+        counts.extend_from_slice(&this.counts[i..]);
+        *this = Arc::new(EncodedRelation {
+            schema: this.schema.clone(),
+            codes,
+            counts,
+        });
+    }
+
+    /// [`EncodedRelation::remove_row_at`] through a shared handle, with
+    /// the same one-copy rule as [`EncodedRelation::insert_row_shared`].
+    pub fn remove_row_shared(this: &mut Arc<EncodedRelation>, i: usize) {
+        if let Some(r) = Arc::get_mut(this) {
+            r.remove_row_at(i);
+            return;
+        }
+        let a = this.arity();
+        let mut codes = Vec::with_capacity(this.codes.len() - a);
+        codes.extend_from_slice(&this.codes[..i * a]);
+        codes.extend_from_slice(&this.codes[(i + 1) * a..]);
+        let mut counts = Vec::with_capacity(this.counts.len() - 1);
+        counts.extend_from_slice(&this.counts[..i]);
+        counts.extend_from_slice(&this.counts[i + 1..]);
+        *this = Arc::new(EncodedRelation {
+            schema: this.schema.clone(),
+            codes,
+            counts,
+        });
     }
 
     /// Raise the count of row `i` by `by` (saturating).

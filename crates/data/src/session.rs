@@ -18,7 +18,8 @@
 //!
 //! The encoding is **maintained under updates** rather than rebuilt:
 //! [`EncodedDatabase::apply`] pushes single-tuple inserts/deletes and
-//! bulk loads into the resident relations in place. Values the sorted
+//! bulk loads into the resident relations: in place, or into one copy
+//! when a snapshot still shares the relation. Values the sorted
 //! dictionary has never seen land in its overflow region
 //! ([`Dict::encode_or_insert`]); **re-sort epochs**
 //! ([`EncodedDatabase::normalize`], triggered automatically when the
@@ -58,11 +59,15 @@ const OVERFLOW_RESORT_THRESHOLD: usize = 4096;
 /// maintained in place under [`Update`]s.
 ///
 /// The `Arc`s double as copy-on-write snapshots: callers (the engine
-/// session's pass cache, multiplicity-table factors) clone the handles,
-/// and [`EncodedDatabase::apply`] uses `Arc::make_mut`, so updates
-/// mutate in place when nothing pins the old state and transparently
-/// fork when something does — a cached pass state keeps decoding through
-/// the dictionary it was built with.
+/// session's pass cache, multiplicity-table factors, a forked session)
+/// clone the handles. [`EncodedDatabase::apply`] edits a relation in
+/// place when nothing else holds it. When something does, the edited
+/// relation is built in one exactly-sized copy (prefix, changed row,
+/// suffix; [`EncodedRelation::insert_row_shared`]) and the holders keep
+/// the old one. That copy is one O(|relation|) `memcpy` per touched
+/// relation. The dictionary is forked only when a value is new, so a
+/// cached pass state keeps decoding through the dictionary it was built
+/// with.
 #[derive(Clone, Debug)]
 pub struct EncodedDatabase {
     dict: Arc<Dict>,
@@ -341,10 +346,10 @@ impl EncodedDatabase {
                         row.iter().map(|v| dict.encode_or_insert(v)).collect()
                     }
                 };
-                let r = Arc::make_mut(&mut self.lifted[rel]);
+                let r = &mut self.lifted[rel];
                 match r.find_row(&codes) {
-                    Ok(i) => r.increment_count(i, 1),
-                    Err(i) => r.insert_row_at(i, &codes, 1),
+                    Ok(i) => Arc::make_mut(r).increment_count(i, 1),
+                    Err(i) => EncodedRelation::insert_row_shared(r, i, &codes, 1),
                 }
                 delta.rows.push((codes, 1));
                 true
@@ -357,12 +362,14 @@ impl EncodedDatabase {
                 match found {
                     None => false,
                     Some((codes, i)) => {
-                        let r = Arc::make_mut(&mut self.lifted[rel]);
-                        if r.decrement_count(i, 1) == 0 {
-                            r.remove_row_at(i);
+                        let r = &mut self.lifted[rel];
+                        if r.count(i) <= 1 {
+                            EncodedRelation::remove_row_shared(r, i);
                             // Structural removal: the row's values may now
                             // be orphaned in the dictionary.
                             self.churn += 1;
+                        } else {
+                            Arc::make_mut(r).decrement_count(i, 1);
                         }
                         delta.rows.push((codes, -1));
                         true

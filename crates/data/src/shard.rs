@@ -181,11 +181,19 @@ pub fn partition_database(
         })
         .collect();
     for (rel, name, relation) in db.iter() {
-        let mut buckets: Vec<Vec<Row>> = vec![Vec::new(); n];
-        for row in relation.rows() {
-            buckets[spec.shard_of_row(rel, row, n)].push(row.clone());
+        let mut members: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for (i, row) in relation.rows().iter().enumerate() {
+            members[spec.shard_of_row(rel, row, n)].push(i);
         }
-        for (shard, rows) in shards.iter_mut().zip(buckets) {
+        // Copy one shard's rows at a time, so each shard's copies are
+        // allocated back to back: its full scans (elastic's `mf`) then
+        // walk memory in order instead of skipping the other shards'
+        // rows.
+        for (shard, members) in shards.iter_mut().zip(members) {
+            let rows: Vec<Row> = members
+                .iter()
+                .map(|&i| relation.rows()[i].clone())
+                .collect();
             shard
                 .add_relation(name, Relation::from_rows(relation.schema().clone(), rows))
                 .expect("shard catalogs mirror the source catalog");

@@ -396,7 +396,6 @@ pub fn load_snapshot_with_pool(path: &Path, pool: &Pool) -> Result<LoadedSnapsho
             ));
         }
         let out = db.relation_mut(idx);
-        out.reserve(rows.len());
         for row in rows {
             out.push(row);
         }

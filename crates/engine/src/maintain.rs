@@ -52,9 +52,13 @@ pub(crate) enum Repair {
 /// `(bag, key attrs)` and guarded by the per-bag repair generation so a
 /// re-pointed bag self-expires its indexes. Only the repair path reads
 /// or builds these; query evaluation never touches them.
-#[derive(Default)]
+///
+/// Each index sits behind its own `Arc`, so a shallow copy of the pass
+/// entry (a fork repairing state a snapshot shares) keeps every index
+/// over a bag the delta did not change instead of rebuilding it.
+#[derive(Clone, Default)]
 pub(crate) struct MaintIndexes {
-    by_key: FastMap<(usize, Vec<AttrId>), BagIndex>,
+    by_key: FastMap<(usize, Vec<AttrId>), Arc<BagIndex>>,
 }
 
 struct BagIndex {
@@ -82,7 +86,8 @@ impl MaintIndexes {
             for (i, (r, _)) in bag_rel.iter().enumerate() {
                 rows.entry(project(r, &proj)).or_default().push(i as u32);
             }
-            self.by_key.insert(key.clone(), BagIndex { gen, rows });
+            self.by_key
+                .insert(key.clone(), Arc::new(BagIndex { gen, rows }));
         }
         self.by_key.get(&key).map(|e| &e.rows)
     }
@@ -119,11 +124,13 @@ fn lookup_proj(state: &EncodedRelation, from: &Schema, row: &[u32]) -> Option<i1
     }
 }
 
-/// Apply signed per-key adjustments to a grouped state in place.
-/// Returns whether anything moved; `None` on any divergence (negative
-/// result, saturated current value, arithmetic overflow, delete of an
-/// absent key) — the caller falls back to recompute.
-fn apply_key_deltas(state: &mut EncodedRelation, deltas: &KeyDeltas) -> Option<bool> {
+/// Apply signed per-key adjustments to a grouped state. A state another
+/// snapshot still shares is copied once before the first write (one
+/// exactly-sized copy for a row insert or removal) and never edited
+/// under it. Returns whether anything moved; `None` on any divergence
+/// (negative result, saturated current value, arithmetic overflow,
+/// delete of an absent key) — the caller falls back to recompute.
+fn apply_key_deltas(state: &mut Arc<EncodedRelation>, deltas: &KeyDeltas) -> Option<bool> {
     let mut changed = false;
     for (key, &d) in deltas {
         if d == 0 {
@@ -135,15 +142,15 @@ fn apply_key_deltas(state: &mut EncodedRelation, deltas: &KeyDeltas) -> Option<b
                 let next = checked(state.count(i))?.checked_add(d)?;
                 match next {
                     n if n < 0 => return None,
-                    0 => state.remove_row_at(i),
-                    n => state.set_count(i, n as Count),
+                    0 => EncodedRelation::remove_row_shared(state, i),
+                    n => Arc::make_mut(state).set_count(i, n as Count),
                 }
             }
             Err(i) => {
                 if d < 0 {
                     return None;
                 }
-                state.insert_row_at(i, key, d as Count);
+                EncodedRelation::insert_row_shared(state, i, key, d as Count);
             }
         }
     }

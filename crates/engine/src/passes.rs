@@ -120,7 +120,7 @@ pub fn botjoin_pass_enc_pooled(
 pub fn topjoin_pass_enc_pooled(
     tree: &DecompositionTree,
     bags: &[&EncodedRelation],
-    bots: &[EncodedRelation],
+    bots: &[&EncodedRelation],
     pool: &Pool,
     tasks: &AtomicU64,
 ) -> Vec<EncodedRelation> {
@@ -149,7 +149,7 @@ pub fn topjoin_pass_enc_pooled(
             let shared = base[p].as_ref().expect("parent base just computed");
             let mut acc: Option<EncodedRelation> = None;
             for s in tree.neighbors(v) {
-                let joined = lookup_join_enc(acc.as_ref().unwrap_or(shared), &bots[s]);
+                let joined = lookup_join_enc(acc.as_ref().unwrap_or(shared), bots[s]);
                 acc = Some(joined);
             }
             let acc = acc.unwrap_or_else(|| shared.clone());
@@ -316,7 +316,7 @@ mod tests {
     fn top_of_root_is_unit() {
         let (db, q, tree) = figure3();
         let passes = run_passes(&db, &q, &tree);
-        assert_eq!(passes.tops(&tree)[tree.root()], EncodedRelation::unit());
+        assert_eq!(*passes.tops(&tree)[tree.root()], EncodedRelation::unit());
     }
 
     #[test]

@@ -116,6 +116,12 @@ impl QueryKey {
 /// atom, and lifted atoms are shared across every query touching the
 /// same `(relation, predicate)`. The ⊤ pass is computed lazily — plain
 /// count evaluation only needs ⊥.
+///
+/// Every per-bag state (and every maintenance index) sits behind its
+/// own `Arc`, so `clone` is shallow: O(#bags) pointer copies. Delta
+/// repair of an entry a pinned snapshot shares clones it this way and
+/// then copies only the states the delta changes.
+#[derive(Clone)]
 pub struct QueryPasses {
     /// The session dictionary (decodes witnesses at report boundaries).
     pub dict: Arc<Dict>,
@@ -124,8 +130,8 @@ pub struct QueryPasses {
     /// Bag relations, in tree-bag order.
     pub bags: Vec<Arc<EncodedRelation>>,
     /// ⊥ pass results (Eqn 7), in tree-bag order.
-    pub bots: Vec<EncodedRelation>,
-    pub(crate) tops: OnceLock<Vec<EncodedRelation>>,
+    pub bots: Vec<Arc<EncodedRelation>>,
+    pub(crate) tops: OnceLock<Vec<Arc<EncodedRelation>>>,
     /// The pool the entry was built on; the lazy ⊤ pass reuses it so a
     /// cached entry parallelizes the same way cold and warm.
     pool: Pool,
@@ -148,16 +154,14 @@ pub struct QueryPasses {
 impl QueryPasses {
     /// ⊤ pass results (Eqn 8), computed on first use and cached for the
     /// life of the entry.
-    pub fn tops(&self, tree: &DecompositionTree) -> &[EncodedRelation] {
+    pub fn tops(&self, tree: &DecompositionTree) -> &[Arc<EncodedRelation>] {
         self.tops.get_or_init(|| {
             let bag_refs: Vec<&EncodedRelation> = self.bags.iter().map(|b| &**b).collect();
-            topjoin_pass_enc_pooled(
-                tree,
-                &bag_refs,
-                &self.bots,
-                &self.pool,
-                &self.par_pass_tasks,
-            )
+            let bot_refs: Vec<&EncodedRelation> = self.bots.iter().map(|b| &**b).collect();
+            topjoin_pass_enc_pooled(tree, &bag_refs, &bot_refs, &self.pool, &self.par_pass_tasks)
+                .into_iter()
+                .map(Arc::new)
+                .collect()
         })
     }
 }
@@ -478,14 +482,19 @@ impl<'a> EngineSession<'a> {
     /// Fork this session copy-on-write — the snapshot-publish writer
     /// path. The child owns its database (`'static`), shares every
     /// relation's rows and the resident encoding with the parent via
-    /// `Arc` until an update forks the touched pieces, and **carries the
-    /// parent's warm caches forward**: atom lifts, pass state, result
-    /// entries, and `mf` statistics accumulated by readers against the
-    /// parent all remain hits in the child. Stats counters continue from
-    /// the parent's values, with `forks` bumped by one.
+    /// `Arc`, and **carries the parent's warm caches forward**: atom
+    /// lifts, pass state, result entries, and `mf` statistics
+    /// accumulated by readers against the parent all remain hits in the
+    /// child. Stats counters continue from the parent's values, with
+    /// `forks` bumped by one.
     ///
     /// Cost is O(#relations + #cache entries) pointer clones — no row
-    /// data, encodings, or pass state are copied.
+    /// data, encodings, or pass state are copied. An update applied to
+    /// the child then copies only what it writes: the one or two `Value`
+    /// row chunks, one exactly-sized copy of the touched encoded
+    /// relation, and, for each repaired pass entry the parent still
+    /// shares, a shallow copy of the entry plus the ⊥/⊤ states the
+    /// delta changes. The parent never observes the child's updates.
     pub fn fork(&self) -> EngineSession<'static> {
         fn clone_map<K: Clone, V: Clone>(m: &Mutex<FastMap<K, V>>) -> Mutex<FastMap<K, V>> {
             Mutex::new(m.lock().unwrap_or_else(|p| p.into_inner()).clone())
@@ -594,7 +603,10 @@ impl<'a> EngineSession<'a> {
         let bags =
             bag_relations_from_arcs_pooled(&lifted, tree, &self.pool, &self.stats.par_join_tasks);
         let bag_refs: Vec<&EncodedRelation> = bags.iter().map(|b| &**b).collect();
-        let bots = botjoin_pass_enc_pooled(tree, &bag_refs, &self.pool, &self.stats.par_pass_tasks);
+        let bots = botjoin_pass_enc_pooled(tree, &bag_refs, &self.pool, &self.stats.par_pass_tasks)
+            .into_iter()
+            .map(Arc::new)
+            .collect();
         let bag_gen = vec![0; bags.len()];
         let entry = Arc::new(QueryPasses {
             dict: Arc::clone(self.dict()),
@@ -885,9 +897,9 @@ impl<'a> EngineSession<'a> {
         // `false`. The delete pre-check repeats the encode+search that
         // `EncodedDatabase::apply` will redo, but that O(log n) double
         // lookup is the price of planning maintenance *before* the
-        // encoded mutation — planning strips the `Arc`s pinning the
-        // relation, so `make_mut` mutates in place instead of cloning
-        // the whole relation.
+        // encoded mutation — planning strips the cache's `Arc`s pinning
+        // the relation, so when no snapshot shares it the apply edits
+        // it in place instead of copying it.
         match &update {
             Update::Delete { relation, row } => {
                 if !self.enc.contains(*relation, row)? {
@@ -984,31 +996,30 @@ impl<'a> EngineSession<'a> {
                     plan.untouched.push(key.clone());
                     passes.insert(key, entry);
                 }
-                Some(Classify::Repair { atom, bag }) => {
-                    // Repair mutates the entry in place, so it must be
-                    // uniquely held (a fork sharing it would observe the
-                    // repair) and built under the current dictionary
-                    // epoch (a re-sort relabeled its codes).
-                    match Arc::get_mut(&mut entry) {
-                        Some(e) if e.epoch == cur_epoch => {
-                            // The placeholder is never read: repair
-                            // re-points both slots at the new resident
-                            // lift before anything looks at them, and a
-                            // fallback drops the entry whole.
-                            let placeholder = empty_placeholder();
-                            e.lifted[atom] = Arc::clone(&placeholder);
-                            e.bags[bag] = placeholder;
-                            plan.repair.push(RepairCandidate {
-                                key,
-                                entry,
-                                atom,
-                                bag,
-                            });
-                        }
-                        _ => dropped += 1,
-                    }
+                Some(Classify::Repair { atom, bag }) if entry.epoch == cur_epoch => {
+                    // Repair mutates the entry, so an entry another
+                    // snapshot still shares is first copied shallowly
+                    // (`make_mut`): the snapshot keeps its states, and
+                    // the repair copies only the states it changes. An
+                    // entry built under an older dictionary epoch is
+                    // dropped below instead: a re-sort relabeled its
+                    // codes.
+                    let e = Arc::make_mut(&mut entry);
+                    // The placeholder is never read: repair re-points
+                    // both slots at the new resident lift before
+                    // anything looks at them, and a fallback drops the
+                    // entry whole.
+                    let placeholder = empty_placeholder();
+                    e.lifted[atom] = Arc::clone(&placeholder);
+                    e.bags[bag] = placeholder;
+                    plan.repair.push(RepairCandidate {
+                        key,
+                        entry,
+                        atom,
+                        bag,
+                    });
                 }
-                None => dropped += 1,
+                _ => dropped += 1,
             }
         }
         self.stats
@@ -1195,12 +1206,10 @@ impl<'a> EngineSession<'a> {
         if delta.repairable() && delta.rows.len() == 1 {
             let (codes, dcount) = &delta.rows[0];
             for key in &plan.atom_patch {
-                let Some(shared) = atoms.get_mut(key) else {
+                let Some(lift) = atoms.get_mut(key) else {
                     continue;
                 };
-                let ok = Arc::get_mut(shared)
-                    .is_some_and(|lift| patch_filtered_lift(lift, codes, *dcount));
-                if ok {
+                if patch_filtered_lift(lift, codes, *dcount) {
                     maintained += 1;
                 } else {
                     atoms.remove(key);
@@ -1270,7 +1279,7 @@ struct MaintPlan {
 
 /// A pass entry eligible for delta repair, removed from the cache with
 /// the resident relation's `Arc`s stripped to a placeholder (so the
-/// encoded apply can `make_mut` in place instead of cloning).
+/// encoded apply can edit an unshared relation in place).
 struct RepairCandidate {
     key: QueryKey,
     entry: Arc<QueryPasses>,
@@ -1350,7 +1359,7 @@ fn classify_for_repair(
 
 /// Shared stand-in `Arc` swapped into a repair candidate's stripped
 /// slots so the candidate stops pinning the resident relation across
-/// `EncodedDatabase::apply` (letting `make_mut` mutate in place). Its
+/// `EncodedDatabase::apply` (letting it edit in place). Its
 /// empty schema is fine because the placeholder is never read —
 /// [`crate::maintain::repair_entry`] re-points both slots before any
 /// access, and a fallback drops the entry whole.
@@ -1375,9 +1384,11 @@ fn schema_attrs_sorted(schema: &Schema) -> Vec<AttrId> {
 }
 
 /// Apply a `±dcount` single-row delta to a cached predicated lift whose
-/// predicate accepted the row. Returns `false` (caller invalidates) on
-/// saturated counts, a negative result, or a delete of an absent row.
-fn patch_filtered_lift(lift: &mut EncodedRelation, codes: &[u32], dcount: i64) -> bool {
+/// predicate accepted the row. A lift another snapshot still shares is
+/// copied once, never edited under it. Returns `false` (caller
+/// invalidates, nothing written) on saturated counts, a negative
+/// result, or a delete of an absent row.
+fn patch_filtered_lift(lift: &mut Arc<EncodedRelation>, codes: &[u32], dcount: i64) -> bool {
     match lift.find_row(codes) {
         Ok(i) => {
             let Some(next) =
@@ -1388,16 +1399,16 @@ fn patch_filtered_lift(lift: &mut EncodedRelation, codes: &[u32], dcount: i64) -
             if next < 0 {
                 false
             } else if next == 0 {
-                lift.remove_row_at(i);
+                EncodedRelation::remove_row_shared(lift, i);
                 true
             } else {
-                lift.set_count(i, next as Count);
+                Arc::make_mut(lift).set_count(i, next as Count);
                 true
             }
         }
         Err(i) => {
             if dcount > 0 {
-                lift.insert_row_at(i, codes, dcount as Count);
+                EncodedRelation::insert_row_shared(lift, i, codes, dcount as Count);
                 true
             } else {
                 false

@@ -49,6 +49,10 @@ pub struct ShardedDelta {
     /// Shards that published a new snapshot (shards whose routed
     /// sub-batch was empty do not publish).
     pub published: usize,
+    /// Snapshot version per shard: the version this batch published on
+    /// the shards it touched, the version current at the end of the
+    /// batch on the rest.
+    pub versions: Vec<u64>,
 }
 
 /// Hash-partitioned engine shards behind one router — see module docs.
@@ -208,12 +212,15 @@ impl ShardedEngine {
         };
         for (s, batch) in routed.into_iter().enumerate() {
             if batch.is_empty() {
+                delta.versions.push(self.cells[s].version());
                 continue;
             }
-            let applied = self.cells[s].update(move |fork| fork.apply_all(batch))?;
+            let (applied, version) =
+                self.cells[s].update_versioned(move |fork| fork.apply_all(batch))?;
             delta.applied += applied;
             delta.per_shard[s] = applied;
             delta.published += 1;
+            delta.versions.push(version);
         }
         Ok(delta)
     }

@@ -846,7 +846,7 @@ fn handle_update(state: &ServerState, req: &Request) -> (u16, String) {
     let mut failed_at: Option<usize> = None;
     let mut wal_failed: Option<String> = None;
     let t0 = Instant::now();
-    let result = cell.update(|fork| {
+    let result = cell.update_versioned(|fork| {
         let before = fork.stats();
         let applied = match fork.apply_all_diagnosed(updates) {
             Ok(n) => n,
@@ -868,7 +868,7 @@ fn handle_update(state: &ServerState, req: &Request) -> (u16, String) {
         Ok((applied, before, fork.stats()))
     });
     let micros = t0.elapsed().as_micros();
-    let (applied, before, after) = match result {
+    let ((applied, before, after), version) = match result {
         Ok(r) => r,
         Err(e) => {
             if let Some(w) = wal_failed {
@@ -888,11 +888,10 @@ fn handle_update(state: &ServerState, req: &Request) -> (u16, String) {
     };
     let body = format!(
         "{{\"ok\":true,\"db\":\"{}\",\"applied\":{applied},\"total\":{total},\"micros\":{micros},\
-         \"snapshot_version\":{},\
+         \"snapshot_version\":{version},\
          \"invalidated\":{{\"passes\":{},\"results\":{},\"atoms\":{},\"mf\":{}}},\
          \"maintained\":{{\"passes\":{},\"results\":{},\"atoms\":{},\"mf\":{}}},\"dict_epochs\":{}}}",
         json_escape(&ndb.name),
-        cell.version(),
         after.passes_invalidated - before.passes_invalidated,
         after.results_invalidated - before.results_invalidated,
         after.atoms_invalidated - before.atoms_invalidated,
@@ -941,11 +940,10 @@ fn handle_update_sharded(ndb: &NamedDb, req: &Request) -> (u16, String) {
         }
     };
     let micros = t0.elapsed().as_micros();
-    let versions = ndb.engine.versions();
     let per: Vec<String> = delta
         .per_shard
         .iter()
-        .zip(&versions)
+        .zip(&delta.versions)
         .enumerate()
         .map(|(shard, (&applied, &version))| {
             format!("{{\"shard\":{shard},\"applied\":{applied},\"snapshot_version\":{version}}}")

@@ -293,3 +293,73 @@ fn concurrent_readers_share_the_warm_session() {
     assert!(stats.contains("\"pass_misses\":1"), "{stats}");
     server.stop();
 }
+
+/// The unsigned integer after `"key":` in a flat JSON body.
+fn json_number(body: &str, key: &str) -> u64 {
+    let tag = format!("\"{key}\":");
+    let start = body
+        .find(&tag)
+        .unwrap_or_else(|| panic!("no {key} in {body}"))
+        + tag.len();
+    body[start..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect::<String>()
+        .parse()
+        .unwrap_or_else(|_| panic!("{key} is not a number in {body}"))
+}
+
+#[test]
+fn update_after_warm_join_repairs_its_passes() {
+    let (server, addr) = start_server();
+    let (status, body) = post(addr, "/query", "op=tsens\njoin=R1,R2,R3,R4");
+    assert_eq!(status, 200, "{body}");
+    // Known values only (no dictionary re-sort). The published snapshot
+    // shares every warm pass entry with the writer's fork, so the entry
+    // must be repaired on a shallow copy, not dropped.
+    let (status, ack) = post(addr, "/update", "+,R1,a2,b2,c1");
+    assert_eq!(status, 200, "{ack}");
+    let maintained = &ack[ack.find("\"maintained\"").expect("maintained split")..];
+    let invalidated = &ack[ack.find("\"invalidated\"").expect("invalidated split")..];
+    assert!(json_number(maintained, "passes") >= 1, "{ack}");
+    assert_eq!(json_number(invalidated, "passes"), 0, "{ack}");
+    let (_, body) = post(addr, "/query", "op=count\njoin=R1,R2,R3,R4");
+    assert!(body.contains("\"count\":5"), "{body}");
+    let (_, body) = post(addr, "/query", "op=tsens\njoin=R1,R2,R3,R4");
+    assert!(body.contains("\"ok\":true"), "{body}");
+    server.stop();
+}
+
+#[test]
+fn concurrent_writers_are_acked_with_distinct_versions() {
+    // Each writer thread sends its updates over its own keep-alive
+    // connection; every ack must name the version its own publish
+    // created, so the acked versions are exactly 1..=N with no repeats.
+    const WRITERS: u64 = 6;
+    const PER_WRITER: u64 = 40;
+    let (server, addr) = start_server();
+    let mut versions: Vec<u64> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..WRITERS)
+            .map(|_| {
+                scope.spawn(move || {
+                    let mut conn = Client::new(addr).expect("connect");
+                    (0..PER_WRITER)
+                        .map(|_| {
+                            let (status, ack) =
+                                conn.request("POST", "/update", "+,R1,a1,b1,c1").unwrap();
+                            assert_eq!(status, 200, "{ack}");
+                            json_number(&ack, "snapshot_version")
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect()
+    });
+    versions.sort_unstable();
+    assert_eq!(versions, (1..=WRITERS * PER_WRITER).collect::<Vec<_>>());
+    server.stop();
+}
