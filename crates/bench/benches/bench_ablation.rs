@@ -670,9 +670,22 @@ fn bench_durability(c: &mut Criterion) {
 ///   other three answer from warm caches (the sharded mirror of
 ///   `ivm/update_requery`).
 fn bench_sharding(c: &mut Criterion) {
-    use tsens_core::ShardedSessionExt;
-    use tsens_engine::ShardedEngine;
+    use tsens_core::sharded_tsens_checked;
+    use tsens_engine::{check_co_partitioned, sharded_count, ShardedEngine};
+    use tsens_query::{ConjunctiveQuery, DecompositionTree};
     use tsens_workloads::social::{self, SocialParams};
+
+    /// The served count: co-partition check, then the per-shard sum.
+    fn count(engine: &ShardedEngine, q: &ConjunctiveQuery, tree: &DecompositionTree) -> Count {
+        let pinned = engine.pin();
+        check_co_partitioned(engine.spec(), pinned[0].database(), q).unwrap();
+        sharded_count(engine.pool(), &pinned, q, tree).unwrap()
+    }
+    let tsens = |engine: &ShardedEngine, q, tree| {
+        sharded_tsens_checked(engine.pool(), engine.spec(), &engine.pin(), q, tree)
+            .unwrap()
+            .local_sensitivity
+    };
 
     let params = if quick() {
         social::small_params()
@@ -694,26 +707,19 @@ fn bench_sharding(c: &mut Criterion) {
     // Prime every shard's caches and cross-check the gathered answers —
     // the bench must not time silently-wrong scatter paths.
     for q in [(&join, &join_tree), (&assoc, &assoc_tree)] {
-        assert_eq!(one.count(q.0, q.1).unwrap(), four.count(q.0, q.1).unwrap());
-        assert_eq!(
-            ShardedSessionExt::tsens(&one, q.0, q.1)
-                .unwrap()
-                .local_sensitivity,
-            ShardedSessionExt::tsens(&four, q.0, q.1)
-                .unwrap()
-                .local_sensitivity
-        );
+        assert_eq!(count(&one, q.0, q.1), count(&four, q.0, q.1));
+        assert_eq!(tsens(&one, q.0, q.1), tsens(&four, q.0, q.1));
     }
 
     let mut group = c.benchmark_group("sharding");
     group.sample_size(if quick() { 15 } else { 20 });
     for (engine, label) in [(&one, "1shard"), (&four, "4shard")] {
         group.bench_function(BenchmarkId::new("social_count", label), |b| {
-            b.iter(|| black_box(engine.count(&join, &join_tree).unwrap()))
+            b.iter(|| black_box(count(engine, &join, &join_tree)))
         });
     }
     group.bench_function("shard_scatter_gather_overhead", |b| {
-        b.iter(|| black_box(four.count(&assoc, &assoc_tree).unwrap()))
+        b.iter(|| black_box(count(&four, &assoc, &assoc_tree)))
     });
     let row = vec![Value::Int(hot), Value::Int(-1)];
     let follow_rel = (0..db.relation_count())
@@ -726,13 +732,13 @@ fn bench_sharding(c: &mut Criterion) {
                 row: row.clone(),
             }])
             .unwrap();
-            black_box(four.count(&join, &join_tree).unwrap());
+            black_box(count(&four, &join, &join_tree));
             four.update_all(vec![tsens_data::Update::Delete {
                 relation: follow_rel,
                 row: row.clone(),
             }])
             .unwrap();
-            black_box(four.count(&join, &join_tree).unwrap());
+            black_box(count(&four, &join, &join_tree));
         })
     });
     group.finish();

@@ -9,12 +9,12 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt;
 use tsens_core::elastic::plan_order_from_tree;
-use tsens_core::{SessionExt, ShardedSessionExt};
+use tsens_core::{sharded_tsens_checked, SessionExt};
 use tsens_data::{Count, Database, TsensError, Update, Value};
 use tsens_dp::truncation::TruncationProfile;
 use tsens_dp::tsensdp::tsensdp_answer_from_profile;
 use tsens_dp::{privsql_answer_session, CascadeRule, PrivSqlPolicy};
-use tsens_engine::{EngineSession, Pool, ShardedEngine};
+use tsens_engine::{check_co_partitioned, sharded_count, EngineSession, Pool, ShardedEngine};
 use tsens_query::{ConjunctiveQuery, DecompositionTree};
 use tsens_workloads::facebook::{self, FacebookParams};
 use tsens_workloads::social::{self, SocialParams};
@@ -1195,6 +1195,8 @@ pub fn social(edges: usize, shards: usize, runs: usize, seed: u64) -> Result<Soc
 
     let mut rows = Vec::with_capacity(queries.len());
     for (name, q, tree) in queries {
+        // Both queries are co-partitioned, so their per-shard sums are exact.
+        check_co_partitioned(engine.spec(), &db, q)?;
         let mut mono_counts = Vec::with_capacity(runs);
         let mut sharded_counts = Vec::with_capacity(runs);
         let mut mono_tsenses = Vec::with_capacity(runs);
@@ -1204,12 +1206,14 @@ pub fn social(edges: usize, shards: usize, runs: usize, seed: u64) -> Result<Soc
         for _ in 0..runs {
             let (truth, secs) = time_it(|| mono.count_query(q, tree).expect("resident"));
             mono_counts.push(secs * 1e6);
-            let (gathered, secs) = time_it(|| engine.count(q, tree));
+            let (gathered, secs) = time_it(|| sharded_count(engine.pool(), &engine.pin(), q, tree));
             sharded_counts.push(secs * 1e6);
             assert_eq!(gathered?, truth, "sharded count diverged on {name}");
             let (truth, secs) = time_it(|| mono.tsens(q, tree).expect("resident"));
             mono_tsenses.push(secs * 1e6);
-            let (report, secs) = time_it(|| ShardedSessionExt::tsens(&engine, q, tree));
+            let (report, secs) = time_it(|| {
+                sharded_tsens_checked(engine.pool(), engine.spec(), &engine.pin(), q, tree)
+            });
             sharded_tsenses.push(secs * 1e6);
             assert_eq!(
                 report?.local_sensitivity, truth.local_sensitivity,
@@ -1259,9 +1263,9 @@ pub fn social(edges: usize, shards: usize, runs: usize, seed: u64) -> Result<Soc
         mono_updates.push(secs * 1e6 / 2.0);
         let (gathered, secs) = time_it(|| -> Result<(Count, Count), TsensError> {
             engine.update_all(vec![ins])?;
-            let a = engine.count(&join_q, &join_tree)?;
+            let a = sharded_count(engine.pool(), &engine.pin(), &join_q, &join_tree)?;
             engine.update_all(vec![del])?;
-            let b = engine.count(&join_q, &join_tree)?;
+            let b = sharded_count(engine.pool(), &engine.pin(), &join_q, &join_tree)?;
             Ok((a, b))
         });
         sharded_updates.push(secs * 1e6 / 2.0);

@@ -57,7 +57,7 @@ pub use report::{
     LocalSensitivity, MultiplicityTable, RelationSensitivity, SensitivityReport, TupleRef,
 };
 pub use session::SessionExt;
-pub use sharded::{sharded_tsens, sharded_tsens_checked, ShardedSessionExt};
+pub use sharded::sharded_tsens_checked;
 pub use tsens_data::Update;
 
 use tsens_data::Database;

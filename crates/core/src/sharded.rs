@@ -1,20 +1,19 @@
-//! Scatter-gather sensitivity over a [`ShardedEngine`].
+//! Scatter-gather TSens over pinned shard snapshots.
 //!
-//! [`ShardedSessionExt`] attaches the sensitivity suite to the engine's
-//! shard router the same way [`crate::SessionExt`] attaches it to a
-//! single session. Aggregation per operation:
+//! Aggregation per operation, for any number of shards (one shard is
+//! the plain session call):
 //!
 //! * **count** — per-shard counts **sum** (the shards partition the
 //!   output bag under the co-partition rule; see
 //!   `tsens_engine::shard`);
-//! * **tsens** — per-shard local sensitivities **max**, per relation.
-//!   Sound and exact under the co-partition rule: a (present or
-//!   hypothetical) tuple's shard-key value routes it to one shard, and
-//!   that shard holds *every* row it can join with, so its tuple
-//!   sensitivity computed inside the shard equals its global tuple
-//!   sensitivity — the paper's decomposition runs unchanged per shard
-//!   and the global worst case is some shard's worst case. The merged
-//!   witness is the achieving shard's witness;
+//! * **tsens** — per-shard local sensitivities **max**, per relation
+//!   ([`sharded_tsens_checked`]). Sound and exact under the
+//!   co-partition rule: a (present or hypothetical) tuple's shard-key
+//!   value routes it to one shard, and that shard holds *every* row it
+//!   can join with, so its tuple sensitivity computed inside the shard
+//!   equals its global tuple sensitivity — the paper's decomposition
+//!   runs unchanged per shard and the global worst case is some shard's
+//!   worst case. The merged witness is the achieving shard's witness;
 //! * **elastic** — computed from **globally merged** max-frequency
 //!   statistics ([`crate::elastic::elastic_sensitivity_sharded`]), which
 //!   is exact for *any* query, co-partitioned or not: elastic depends on
@@ -22,31 +21,32 @@
 //!   the unsharded `mf` values bit-for-bit.
 //!
 //! Non-co-partitioned multi-atom count/tsens at more than one shard are
-//! rejected with [`TsensError::CrossShardJoin`]; with one shard every
-//! method delegates to the plain session path.
+//! rejected with [`TsensError::CrossShardJoin`].
 
-use crate::elastic::{elastic_sensitivity_sharded, ElasticReport};
 use crate::report::{RelationSensitivity, SensitivityReport};
 use crate::session::SessionExt;
 use std::sync::Arc;
-use tsens_data::{Count, ShardSpec, TsensError};
-use tsens_engine::shard::{check_co_partitioned, ShardedEngine};
+use tsens_data::{ShardSpec, TsensError};
+use tsens_engine::shard::check_co_partitioned;
 use tsens_engine::{EngineSession, Pool};
 use tsens_query::{ConjunctiveQuery, DecompositionTree};
 
-/// Gather step for TSens over already-pinned shard snapshots: run the
-/// full algorithm per shard on `pool`, then take the per-relation
-/// maximum (witness from the achieving shard). Callers are responsible
-/// for the co-partition check — see the module docs for why the max is
-/// then exact.
+/// TSens over already-pinned shard snapshots: above one shard, check
+/// the co-partition rule, run the full algorithm per shard on `pool`,
+/// then take the per-relation maximum (witness from the achieving
+/// shard) — see the module docs for why the max is then exact. One
+/// shard is the session's own `tsens`.
 ///
 /// # Errors
-/// The first shard evaluation error, by shard order.
+/// [`TsensError::CrossShardJoin`] for non-co-partitioned multi-atom
+/// queries above one shard; otherwise the first shard evaluation error,
+/// by shard order.
 ///
 /// # Panics
 /// Panics if `sessions` is empty.
-pub fn sharded_tsens(
+pub fn sharded_tsens_checked(
     pool: &Pool,
+    spec: &ShardSpec,
     sessions: &[Arc<EngineSession<'static>>],
     cq: &ConjunctiveQuery,
     tree: &DecompositionTree,
@@ -55,6 +55,7 @@ pub fn sharded_tsens(
     if sessions.len() == 1 {
         return sessions[0].tsens(cq, tree);
     }
+    check_co_partitioned(spec, sessions[0].database(), cq)?;
     let gathered = pool.run(sessions.len(), |s| sessions[s].tsens(cq, tree));
     let mut reports = Vec::with_capacity(gathered.len());
     for r in gathered {
@@ -84,79 +85,12 @@ fn merge_max(reports: &[SensitivityReport]) -> SensitivityReport {
     SensitivityReport::from_per_relation(merged)
 }
 
-/// The scatter-gather sensitivity suite as methods on a
-/// [`ShardedEngine`] — the sharded counterpart of [`SessionExt`].
-pub trait ShardedSessionExt {
-    /// Scatter-gathered local sensitivity (per-relation max merge).
-    ///
-    /// # Errors
-    /// [`TsensError::CrossShardJoin`] for non-co-partitioned multi-atom
-    /// queries at more than one shard; per-shard evaluation errors.
-    fn tsens(
-        &self,
-        cq: &ConjunctiveQuery,
-        tree: &DecompositionTree,
-    ) -> Result<SensitivityReport, TsensError>;
-
-    /// Elastic sensitivity from globally merged `mf` statistics — exact
-    /// for any query, no co-partition requirement.
-    ///
-    /// # Errors
-    /// Session residency errors (single-shard path only).
-    fn elastic_sensitivity(
-        &self,
-        cq: &ConjunctiveQuery,
-        plan: &[usize],
-        k: Count,
-    ) -> Result<ElasticReport, TsensError>;
-}
-
-impl ShardedSessionExt for ShardedEngine {
-    fn tsens(
-        &self,
-        cq: &ConjunctiveQuery,
-        tree: &DecompositionTree,
-    ) -> Result<SensitivityReport, TsensError> {
-        let pinned = self.pin();
-        if pinned.len() > 1 {
-            check_co_partitioned(self.spec(), pinned[0].database(), cq)?;
-        }
-        sharded_tsens(self.pool(), &pinned, cq, tree)
-    }
-
-    fn elastic_sensitivity(
-        &self,
-        cq: &ConjunctiveQuery,
-        plan: &[usize],
-        k: Count,
-    ) -> Result<ElasticReport, TsensError> {
-        elastic_sensitivity_sharded(&self.pin(), cq, plan, k)
-    }
-}
-
-/// Convenience for callers that pinned the shards themselves (the
-/// server's per-request read set): the co-partition check + tsens
-/// gather in one call.
-///
-/// # Errors
-/// See [`ShardedSessionExt::tsens`].
-pub fn sharded_tsens_checked(
-    pool: &Pool,
-    spec: &ShardSpec,
-    sessions: &[Arc<EngineSession<'static>>],
-    cq: &ConjunctiveQuery,
-    tree: &DecompositionTree,
-) -> Result<SensitivityReport, TsensError> {
-    if sessions.len() > 1 {
-        check_co_partitioned(spec, sessions[0].database(), cq)?;
-    }
-    sharded_tsens(pool, sessions, cq, tree)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::elastic::elastic_sensitivity_sharded;
     use tsens_data::{Database, Relation, Schema, Value};
+    use tsens_engine::ShardedEngine;
     use tsens_query::gyo_decompose;
 
     fn social_db() -> Database {
@@ -186,7 +120,9 @@ mod tests {
         let truth = EngineSession::new(&db).tsens(&q, &tree).unwrap();
         for n in [1, 2, 4] {
             let engine = ShardedEngine::new(db.clone(), n).unwrap();
-            let got = ShardedSessionExt::tsens(&engine, &q, &tree).unwrap();
+            let pinned = engine.pin();
+            let got =
+                sharded_tsens_checked(engine.pool(), engine.spec(), &pinned, &q, &tree).unwrap();
             assert_eq!(got.local_sensitivity, truth.local_sensitivity, "n={n}");
             assert_eq!(got.per_relation.len(), truth.per_relation.len());
             for (a, b) in got.per_relation.iter().zip(truth.per_relation.iter()) {
@@ -216,7 +152,7 @@ mod tests {
         let truth = crate::elastic_sensitivity(&db, &q, &[0, 1], 3);
         for n in [1, 2, 4] {
             let engine = ShardedEngine::new(db.clone(), n).unwrap();
-            let got = ShardedSessionExt::elastic_sensitivity(&engine, &q, &[0, 1], 3).unwrap();
+            let got = elastic_sensitivity_sharded(&engine.pin(), &q, &[0, 1], 3).unwrap();
             assert_eq!(got.overall, truth.overall, "n={n}");
             assert_eq!(got.per_relation, truth.per_relation, "n={n}");
         }
@@ -224,7 +160,7 @@ mod tests {
         let engine = ShardedEngine::new(db.clone(), 2).unwrap();
         let tree = gyo_decompose(&q).unwrap().expect_acyclic("path");
         assert!(matches!(
-            ShardedSessionExt::tsens(&engine, &q, &tree),
+            sharded_tsens_checked(engine.pool(), engine.spec(), &engine.pin(), &q, &tree),
             Err(TsensError::CrossShardJoin { .. })
         ));
     }

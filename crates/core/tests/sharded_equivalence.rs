@@ -12,8 +12,8 @@
 //!   more than one shard — never a silently wrong number — while
 //!   single-atom sub-queries and the full-join **elastic** bound (exact
 //!   from merged `mf` statistics regardless of the routing) still match;
-//! * `N = 1` runs the same assertions through the single-cell delegation
-//!   path, pinning it to the plain-session answers.
+//! * `N = 1` runs the same assertions through the same gather functions,
+//!   pinning their one-shard case to the plain-session answers.
 //!
 //! Updates are applied as batches to both sides — through
 //! [`ShardedEngine::update_all`]'s hash routing on the sharded side and
@@ -24,9 +24,12 @@
 //! sequentially and in parallel.
 
 use proptest::prelude::*;
-use tsens_core::{plan_order_from_tree, SessionExt, ShardedSessionExt};
-use tsens_data::{Database, Relation, Schema, TsensError, Update, Value};
-use tsens_engine::{EngineSession, ShardedEngine};
+use tsens_core::{
+    elastic_sensitivity_sharded, plan_order_from_tree, sharded_tsens_checked, SensitivityReport,
+    SessionExt,
+};
+use tsens_data::{Count, Database, Relation, Schema, TsensError, Update, Value};
+use tsens_engine::{check_co_partitioned, sharded_count, EngineSession, ShardedEngine};
 use tsens_query::{auto_decompose, gyo_decompose, ConjunctiveQuery, DecompositionTree};
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
@@ -87,6 +90,20 @@ fn step_update(db_relations: usize, (kind, rel, raw_row): &Step) -> Update {
     }
 }
 
+/// The count gathered over every shard's pinned snapshot.
+fn count(engine: &ShardedEngine, q: &ConjunctiveQuery, tree: &DecompositionTree) -> Count {
+    sharded_count(engine.pool(), &engine.pin(), q, tree).unwrap()
+}
+
+/// The served tsens over every shard's pinned snapshot.
+fn tsens(
+    engine: &ShardedEngine,
+    q: &ConjunctiveQuery,
+    tree: &DecompositionTree,
+) -> Result<SensitivityReport, TsensError> {
+    sharded_tsens_checked(engine.pool(), engine.spec(), &engine.pin(), q, tree)
+}
+
 /// Full scatter-gather comparison for a co-partitioned query: count,
 /// tsens (LS + per-relation), elastic (overall + per-relation) against
 /// the mono session. Witnesses are not compared — shard-local dict
@@ -99,14 +116,15 @@ fn assert_scatter_gather_matches(
     label: &str,
 ) {
     let n = engine.shards();
+    check_co_partitioned(engine.spec(), mono.database(), q).unwrap();
     prop_assert_eq!(
-        engine.count(q, tree).unwrap(),
+        count(engine, q, tree),
         mono.count_query(q, tree).unwrap(),
         "count (n={}, {})",
         n,
         label
     );
-    let sharded = ShardedSessionExt::tsens(engine, q, tree).unwrap();
+    let sharded = tsens(engine, q, tree).unwrap();
     let truth = mono.tsens(q, tree).unwrap();
     prop_assert_eq!(
         sharded.local_sensitivity,
@@ -128,7 +146,7 @@ fn assert_scatter_gather_matches(
         );
     }
     let plan = plan_order_from_tree(tree);
-    let es = ShardedSessionExt::elastic_sensitivity(engine, q, &plan, 0).unwrap();
+    let es = elastic_sensitivity_sharded(&engine.pin(), q, &plan, 0).unwrap();
     let et = mono.elastic_sensitivity(q, &plan, 0).unwrap();
     prop_assert_eq!(es.overall, et.overall, "elastic (n={}, {})", n, label);
     prop_assert_eq!(&es.per_relation, &et.per_relation);
@@ -149,15 +167,13 @@ fn assert_rejects_but_elastic_and_atoms_match(
     let n = engine.shards();
     if n == 1 {
         prop_assert_eq!(
-            engine.count(q, tree).unwrap(),
+            count(engine, q, tree),
             mono.count_query(q, tree).unwrap(),
             "count (n=1, {})",
             label
         );
         prop_assert_eq!(
-            ShardedSessionExt::tsens(engine, q, tree)
-                .unwrap()
-                .local_sensitivity,
+            tsens(engine, q, tree).unwrap().local_sensitivity,
             mono.tsens(q, tree).unwrap().local_sensitivity,
             "tsens (n=1, {})",
             label
@@ -165,7 +181,7 @@ fn assert_rejects_but_elastic_and_atoms_match(
     } else {
         prop_assert!(
             matches!(
-                engine.count(q, tree),
+                check_co_partitioned(engine.spec(), db, q),
                 Err(TsensError::CrossShardJoin { .. })
             ),
             "count must reject cross-shard joins (n={}, {})",
@@ -174,7 +190,7 @@ fn assert_rejects_but_elastic_and_atoms_match(
         );
         prop_assert!(
             matches!(
-                ShardedSessionExt::tsens(engine, q, tree),
+                tsens(engine, q, tree),
                 Err(TsensError::CrossShardJoin { .. })
             ),
             "tsens must reject cross-shard joins (n={}, {})",
@@ -183,7 +199,7 @@ fn assert_rejects_but_elastic_and_atoms_match(
         );
     }
     let plan = plan_order_from_tree(tree);
-    let es = ShardedSessionExt::elastic_sensitivity(engine, q, &plan, 0).unwrap();
+    let es = elastic_sensitivity_sharded(&engine.pin(), q, &plan, 0).unwrap();
     let et = mono.elastic_sensitivity(q, &plan, 0).unwrap();
     prop_assert_eq!(es.overall, et.overall, "elastic (n={}, {})", n, label);
     prop_assert_eq!(&es.per_relation, &et.per_relation);
@@ -193,7 +209,7 @@ fn assert_rejects_but_elastic_and_atoms_match(
         let one = ConjunctiveQuery::over(db, "one", &[db.relation_name(rel)]).unwrap();
         let one_tree = gyo_decompose(&one).unwrap().expect_acyclic("single atom");
         prop_assert_eq!(
-            engine.count(&one, &one_tree).unwrap(),
+            count(engine, &one, &one_tree),
             mono.count_query(&one, &one_tree).unwrap(),
             "single-atom count on {} (n={}, {})",
             rel,

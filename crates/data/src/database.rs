@@ -91,13 +91,6 @@ impl Database {
         &self.relations[idx].1
     }
 
-    /// The shared handle of the relation at `idx` — pin it to keep these
-    /// exact rows alive across later updates (updates fork, they never
-    /// mutate a shared relation in place).
-    pub fn relation_arc(&self, idx: usize) -> &Arc<Relation> {
-        &self.relations[idx].1
-    }
-
     /// Mutable access to the relation at `idx`. Copy-on-write: if a
     /// cloned database (a pinned snapshot) still shares this relation,
     /// it is forked here (chunk pointers only; writes then copy the

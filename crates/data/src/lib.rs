@@ -50,7 +50,8 @@ pub use relation::{Relation, Row, Rows, RowsIter};
 pub use schema::Schema;
 pub use session::EncodedDatabase;
 pub use shard::{
-    partition_database, route_updates, shard_hash, validate_shard_count, ShardSpec, MAX_SHARDS,
+    partition_database, route_updates, route_updates_indexed, shard_hash, validate_shard_count,
+    ShardSpec, MAX_SHARDS,
 };
 pub use update::{AppliedDelta, Update};
 pub use value::Value;

@@ -215,13 +215,6 @@ impl EncodedDatabase {
         self.epoch
     }
 
-    /// True when the dictionary has pending overflow values, i.e. code
-    /// order is not currently value order.
-    #[inline]
-    pub fn needs_normalize(&self) -> bool {
-        !self.dict.is_order_isomorphic()
-    }
-
     /// Rebuild a fully-resident encoding from parts loaded off disk —
     /// the snapshot-load constructor ([`crate::store`]). The caller
     /// guarantees `lifted[i]` was encoded with `dict` (the store's CRC

@@ -1,8 +1,8 @@
 //! Hash partitioning of a database across N engine shards.
 //!
 //! The data plane's scale-out primitive (TAO-style, see SNIPPETS.md):
-//! every relation nominates one **shard-key column** ([`ShardSpec`],
-//! default column 0), every row is routed to shard
+//! every relation has one **shard-key column** ([`ShardSpec`]: column
+//! 0), every row is routed to shard
 //! `hash(row[shard_col]) % n`, and the same hash routes update deltas —
 //! so a row and every delta touching it always land on the same shard.
 //!
@@ -33,9 +33,9 @@ pub const MAX_SHARDS: usize = 256;
 
 /// Which column of each relation is its shard key, by catalog index.
 ///
-/// The default ([`ShardSpec::first_column`]) keys every relation on
-/// column 0 — the TAO convention where associations `(id1, …)` are
-/// partitioned by their owning object `id1`.
+/// [`ShardSpec::first_column`] keys every relation on column 0 — the
+/// TAO convention where associations `(id1, …)` are partitioned by
+/// their owning object `id1`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ShardSpec {
     /// `cols[rel]` = shard-key column of catalog relation `rel`.
@@ -50,41 +50,10 @@ impl ShardSpec {
         }
     }
 
-    /// Explicit per-relation key columns, in catalog order.
-    ///
-    /// # Errors
-    /// [`TsensError::NoSuchRelation`] when the list length does not match
-    /// the catalog, or a column is out of its relation's arity.
-    pub fn new(db: &Database, cols: Vec<usize>) -> Result<ShardSpec, TsensError> {
-        if cols.len() != db.relation_count() {
-            return Err(TsensError::NoSuchRelation {
-                relation: cols.len(),
-                count: db.relation_count(),
-            });
-        }
-        for (rel, &c) in cols.iter().enumerate() {
-            if c >= db.relation(rel).schema().arity() {
-                return Err(TsensError::Data(crate::error::DataError::Malformed(
-                    format!(
-                        "shard column {c} out of range for relation {:?} (arity {})",
-                        db.relation_name(rel),
-                        db.relation(rel).schema().arity()
-                    ),
-                )));
-            }
-        }
-        Ok(ShardSpec { cols })
-    }
-
     /// Shard-key column of catalog relation `rel`.
     #[inline]
     pub fn column(&self, rel: usize) -> usize {
         self.cols[rel]
-    }
-
-    /// All shard-key columns, in catalog order.
-    pub fn columns(&self) -> &[usize] {
-        &self.cols
     }
 
     /// Number of relations the spec covers.
@@ -207,12 +176,23 @@ pub fn partition_database(
 /// row by row; empty sub-batches stay empty (that shard publishes
 /// nothing).
 pub fn route_updates(spec: &ShardSpec, n: usize, updates: Vec<Update>) -> Vec<Vec<Update>> {
-    let mut out: Vec<Vec<Update>> = vec![Vec::new(); n];
-    if n == 1 {
-        out[0] = updates;
-        return out;
-    }
-    for u in updates {
+    route_updates_indexed(spec, n, updates)
+        .into_iter()
+        .map(|batch| batch.into_iter().map(|(_, u)| u).collect())
+        .collect()
+}
+
+/// [`route_updates`], tagging every routed update with its position in
+/// `updates` (each piece of a split bulk load keeps the load's
+/// position), so a shard that rejects its sub-batch can name the input
+/// op.
+pub fn route_updates_indexed(
+    spec: &ShardSpec,
+    n: usize,
+    updates: Vec<Update>,
+) -> Vec<Vec<(usize, Update)>> {
+    let mut out: Vec<Vec<(usize, Update)>> = vec![Vec::new(); n];
+    for (i, u) in updates.into_iter().enumerate() {
         match u {
             Update::BulkLoad { relation, rows } => {
                 let mut buckets: Vec<Vec<Row>> = vec![Vec::new(); n];
@@ -222,13 +202,13 @@ pub fn route_updates(spec: &ShardSpec, n: usize, updates: Vec<Update>) -> Vec<Ve
                 }
                 for (s, rows) in buckets.into_iter().enumerate() {
                     if !rows.is_empty() {
-                        out[s].push(Update::BulkLoad { relation, rows });
+                        out[s].push((i, Update::BulkLoad { relation, rows }));
                     }
                 }
             }
             Update::Insert { relation, ref row } | Update::Delete { relation, ref row } => {
                 let s = spec.shard_of_row(relation, row, n);
-                out[s].push(u);
+                out[s].push((i, u));
             }
         }
     }
@@ -318,14 +298,6 @@ mod tests {
     }
 
     #[test]
-    fn spec_rejects_bad_columns() {
-        let db = db2();
-        assert!(ShardSpec::new(&db, vec![0, 5]).is_err());
-        assert!(ShardSpec::new(&db, vec![0]).is_err());
-        assert!(ShardSpec::new(&db, vec![1, 0]).is_ok());
-    }
-
-    #[test]
     fn updates_route_like_rows() {
         let db = db2();
         let spec = ShardSpec::first_column(&db);
@@ -340,17 +312,19 @@ mod tests {
                     .collect(),
             ),
         ];
-        let routed = route_updates(&spec, n, ups);
+        let routed = route_updates_indexed(&spec, n, ups);
         assert_eq!(routed.len(), n);
         let mut seen = 0usize;
         for (s, batch) in routed.iter().enumerate() {
-            for u in batch {
+            for (pos, u) in batch {
                 match u {
                     Update::Insert { relation, row } | Update::Delete { relation, row } => {
                         assert_eq!(spec.shard_of_row(*relation, row, n), s);
+                        assert_eq!(*pos, *relation, "op i touches relation i here");
                         seen += 1;
                     }
                     Update::BulkLoad { relation, rows } => {
+                        assert_eq!(*pos, 2, "every piece keeps the load's position");
                         for row in rows {
                             assert_eq!(spec.shard_of_row(*relation, row, n), s);
                             seen += 1;

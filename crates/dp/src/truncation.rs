@@ -136,15 +136,6 @@ impl TruncationProfile {
     pub fn dropped_rows(&self, tau: Count) -> usize {
         self.row_deltas.iter().filter(|&&(_, d)| d > tau).count()
     }
-
-    /// Row indices (into the private relation) that survive truncation at
-    /// `τ`. Rows with `δ = 0` always survive — they support no output.
-    pub fn surviving_row_set(&self, tau: Count) -> impl Iterator<Item = usize> + '_ {
-        self.row_deltas
-            .iter()
-            .filter(move |&&(_, d)| d > tau)
-            .map(|&(i, _)| i)
-    }
 }
 
 /// Materialise `T_TSens(Q, D, τ)`: a copy of `db` with the offending

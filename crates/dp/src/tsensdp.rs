@@ -112,6 +112,28 @@ pub fn tsensdp_answer_session<R: Rng>(
     Ok(tsensdp_answer_from_profile(&profile, ell, epsilon, rng))
 }
 
+/// The release's ε split: `(Q̂, SVT, answer)` get ε/4, ε/4 and ε/2.
+fn budget_split(epsilon: f64) -> (f64, f64, f64) {
+    let eps_tsens = epsilon / 2.0;
+    (eps_tsens / 2.0, eps_tsens / 2.0, epsilon - eps_tsens)
+}
+
+/// Whether every Laplace scale a release with `ell` and `epsilon` can
+/// draw (ℓ/(ε/4) for Q̂, 4/(ε/4) for SVT, at most 4ℓ/(ε/2) for the
+/// answer) is finite and positive; [`tsensdp_answer_from_profile`]
+/// panics otherwise. A finite ε can fail: 1e-320 overflows ℓ/(ε/4).
+pub fn noise_scales_are_finite(ell: Count, epsilon: f64) -> bool {
+    let (eps_qhat, eps_svt, eps_answer) = budget_split(epsilon);
+    let search_cap = ell.saturating_mul(4) as f64;
+    [
+        ell as f64 / eps_qhat,
+        4.0 / eps_svt,
+        search_cap / eps_answer,
+    ]
+    .iter()
+    .all(|s| s.is_finite() && *s > 0.0)
+}
+
 /// [`tsensdp_answer`] over a pre-built [`TruncationProfile`]. The profile
 /// depends only on the data, so repeated-run experiments (Table 2) build
 /// it once and re-draw only the noise.
@@ -127,10 +149,7 @@ pub fn tsensdp_answer_from_profile<R: Rng>(
     assert!(ell >= 1, "the sensitivity upper bound ℓ must be at least 1");
     assert!(epsilon > 0.0, "epsilon must be positive");
 
-    let eps_tsens = epsilon / 2.0;
-    let eps_qhat = eps_tsens / 2.0;
-    let eps_svt = eps_tsens / 2.0;
-    let eps_answer = epsilon - eps_tsens;
+    let (eps_qhat, eps_svt, eps_answer) = budget_split(epsilon);
 
     // Step 1: noisy reference answer at the loosest threshold.
     let q_ell = profile.truncated_count(ell);
@@ -197,6 +216,15 @@ mod tests {
             .unwrap();
         let q = ConjunctiveQuery::over(&db, "skew", &["R", "S"]).unwrap();
         (db, q)
+    }
+
+    #[test]
+    fn noise_scales_reject_infinite_and_subnormal_epsilon() {
+        assert!(noise_scales_are_finite(10, 1.0));
+        assert!(noise_scales_are_finite(Count::MAX, 1e-3));
+        for eps in [f64::INFINITY, f64::NAN, 0.0, -1.0, 1e-320] {
+            assert!(!noise_scales_are_finite(10, eps), "epsilon {eps}");
+        }
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub use passes::{
 };
 pub use pool::{Pool, THREADS_ENV};
 pub use session::{EngineSession, QueryKey, QueryPasses, SessionStats};
-pub use shard::{check_co_partitioned, sharded_count, ShardedDelta, ShardedEngine};
+pub use shard::{check_co_partitioned, sharded_count, Routed, ShardedDelta, ShardedEngine};
 pub use snapshot::{PublishHook, SnapshotCell};
 pub use tsens_data::Update;
 pub use yannakakis::count_query;

@@ -227,6 +227,59 @@ pub struct SessionStats {
     pub parallel_join_tasks: u64,
 }
 
+impl SessionStats {
+    /// Field-wise combination of two counter snapshots.
+    fn zip(self, other: Self, f: impl Fn(u64, u64) -> u64) -> Self {
+        SessionStats {
+            atom_hits: f(self.atom_hits, other.atom_hits),
+            atom_misses: f(self.atom_misses, other.atom_misses),
+            pass_hits: f(self.pass_hits, other.pass_hits),
+            pass_misses: f(self.pass_misses, other.pass_misses),
+            result_hits: f(self.result_hits, other.result_hits),
+            result_misses: f(self.result_misses, other.result_misses),
+            mf_hits: f(self.mf_hits, other.mf_hits),
+            mf_misses: f(self.mf_misses, other.mf_misses),
+            updates_applied: f(self.updates_applied, other.updates_applied),
+            dict_epochs: f(self.dict_epochs, other.dict_epochs),
+            atoms_invalidated: f(self.atoms_invalidated, other.atoms_invalidated),
+            passes_invalidated: f(self.passes_invalidated, other.passes_invalidated),
+            results_invalidated: f(self.results_invalidated, other.results_invalidated),
+            mf_invalidated: f(self.mf_invalidated, other.mf_invalidated),
+            passes_maintained: f(self.passes_maintained, other.passes_maintained),
+            results_maintained: f(self.results_maintained, other.results_maintained),
+            mf_maintained: f(self.mf_maintained, other.mf_maintained),
+            atoms_maintained: f(self.atoms_maintained, other.atoms_maintained),
+            forks: f(self.forks, other.forks),
+            pool_threads: f(self.pool_threads, other.pool_threads),
+            parallel_pass_tasks: f(self.parallel_pass_tasks, other.parallel_pass_tasks),
+            parallel_join_tasks: f(self.parallel_join_tasks, other.parallel_join_tasks),
+        }
+    }
+}
+
+/// Field-wise sum: several sessions' (shards') counters together.
+impl std::ops::Add for SessionStats {
+    type Output = SessionStats;
+    fn add(self, other: Self) -> Self {
+        self.zip(other, |a, b| a + b)
+    }
+}
+
+/// Field-wise difference: what one session did between two snapshots
+/// of its counters.
+impl std::ops::Sub for SessionStats {
+    type Output = SessionStats;
+    fn sub(self, other: Self) -> Self {
+        self.zip(other, |a, b| a - b)
+    }
+}
+
+impl std::iter::Sum for SessionStats {
+    fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
+        iter.fold(SessionStats::default(), |a, b| a + b)
+    }
+}
+
 #[derive(Default)]
 struct StatCounters {
     atom_hits: AtomicU64,

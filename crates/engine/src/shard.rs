@@ -27,15 +27,17 @@
 //! partitioned cross-shard join sensitivity is an explicit non-goal —
 //! serve such queries from a single-shard deployment.
 //!
-//! With one shard every path delegates to the plain session — the
-//! sharded engine at N=1 *is* the single-session engine, co-partitioned
-//! or not.
+//! The same gather functions serve every shard count: with one shard
+//! they make the plain session call and callers skip the co-partition
+//! check, so the engine at N=1 *is* the single-session engine.
 
 use crate::pool::Pool;
 use crate::session::EngineSession;
 use crate::snapshot::SnapshotCell;
 use std::sync::Arc;
-use tsens_data::shard::{partition_database, route_updates, validate_shard_count, ShardSpec};
+use tsens_data::shard::{
+    partition_database, route_updates_indexed, validate_shard_count, ShardSpec,
+};
 use tsens_data::{sat_add, Count, Database, TsensError, Update};
 use tsens_query::{ConjunctiveQuery, DecompositionTree};
 
@@ -55,6 +57,16 @@ pub struct ShardedDelta {
     pub versions: Vec<u64>,
 }
 
+/// What [`ShardedEngine::update_routed`] did, shard by shard.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Routed<T> {
+    /// The per-fork result on each shard that published; `None` on
+    /// shards whose routed sub-batch was empty.
+    pub per_shard: Vec<Option<T>>,
+    /// Snapshot version per shard, as in [`ShardedDelta::versions`].
+    pub versions: Vec<u64>,
+}
+
 /// Hash-partitioned engine shards behind one router — see module docs.
 pub struct ShardedEngine {
     spec: ShardSpec,
@@ -65,32 +77,18 @@ pub struct ShardedEngine {
 impl ShardedEngine {
     /// Partition `db` on each relation's first column across `shards`
     /// sessions (the TAO convention; see [`ShardSpec::first_column`]).
+    /// With one shard the database is not partitioned and the single
+    /// session runs on the default pool — byte-for-byte the unsharded
+    /// engine. With more shards each shard session is sequential (the
+    /// shards *are* the parallelism) and the default pool drives the
+    /// scatter.
     ///
     /// # Errors
     /// [`validate_shard_count`] failures.
     pub fn new(db: Database, shards: usize) -> Result<ShardedEngine, TsensError> {
-        let spec = ShardSpec::first_column(&db);
-        Self::with_spec(db, spec, shards, Pool::default())
-    }
-
-    /// Full-control constructor: explicit shard-key columns and the
-    /// pool the scatter fans out on. With `shards == 1` the database is
-    /// not partitioned and the single session runs on `pool` itself —
-    /// byte-for-byte the unsharded engine. With more shards each shard
-    /// session is sequential (the shards *are* the parallelism) and
-    /// `pool` drives the scatter.
-    ///
-    /// # Errors
-    /// [`validate_shard_count`] failures, or a spec that does not fit
-    /// the catalog.
-    pub fn with_spec(
-        db: Database,
-        spec: ShardSpec,
-        shards: usize,
-        pool: Pool,
-    ) -> Result<ShardedEngine, TsensError> {
         validate_shard_count(shards)?;
-        let spec = ShardSpec::new(&db, spec.columns().to_vec())?;
+        let spec = ShardSpec::first_column(&db);
+        let pool = Pool::default();
         let cells = if shards == 1 {
             vec![Arc::new(SnapshotCell::new(EngineSession::owned_with_pool(
                 db, pool,
@@ -160,69 +158,67 @@ impl ShardedEngine {
         self.cells.iter().map(|c| c.version()).collect()
     }
 
-    /// Is `cq` answerable by per-shard scatter-gather on this engine?
-    /// Always at one shard; otherwise the co-partition rule decides.
+    /// Route a batch by the shard hash and publish each non-empty
+    /// sub-batch through its shard's writer lane
+    /// ([`SnapshotCell::update_versioned`]): `apply` runs on that
+    /// shard's fork with the sub-batch and its updates' positions in
+    /// `updates`, and an error discards the fork. One shard is one fork
+    /// and one publish of the whole batch.
+    ///
+    /// Atomicity is **per shard**: there is no cross-shard transaction,
+    /// so if shard `k` rejects its sub-batch, shards before it have
+    /// already published theirs. Sub-batches keep the incoming order,
+    /// and one key always routes to one shard, so per-key order holds.
     ///
     /// # Errors
-    /// [`TsensError::CrossShardJoin`] with the offending atoms named.
-    pub fn check_scatter_gather(&self, cq: &ConjunctiveQuery) -> Result<(), TsensError> {
-        if self.shards() == 1 {
-            return Ok(());
-        }
-        check_co_partitioned(&self.spec, self.primary().load().database(), cq)
-    }
-
-    /// Scatter-gathered `|Q(D)|`: per-shard counts summed. One shard
-    /// delegates straight to the session (no co-partition requirement).
-    ///
-    /// # Errors
-    /// [`TsensError::CrossShardJoin`], or any per-shard evaluation
-    /// error.
-    pub fn count(
+    /// The first failing shard's error, with the number of shards that
+    /// had already published.
+    pub fn update_routed<T>(
         &self,
-        cq: &ConjunctiveQuery,
-        tree: &DecompositionTree,
-    ) -> Result<Count, TsensError> {
-        if self.shards() == 1 {
-            return self.primary().load().count_query(cq, tree);
+        updates: Vec<Update>,
+        mut apply: impl FnMut(
+            &mut EngineSession<'static>,
+            Vec<Update>,
+            &[usize],
+        ) -> Result<T, TsensError>,
+    ) -> Result<Routed<T>, (usize, TsensError)> {
+        let routed = route_updates_indexed(&self.spec, self.shards(), updates);
+        let mut out = Routed {
+            per_shard: Vec::with_capacity(self.shards()),
+            versions: Vec::with_capacity(self.shards()),
+        };
+        for (cell, batch) in self.cells.iter().zip(routed) {
+            if batch.is_empty() {
+                out.per_shard.push(None);
+                out.versions.push(cell.version());
+                continue;
+            }
+            let (positions, batch): (Vec<usize>, Vec<Update>) = batch.into_iter().unzip();
+            let published = out.per_shard.iter().flatten().count();
+            let (result, version) = cell
+                .update_versioned(|fork| apply(fork, batch, &positions))
+                .map_err(|e| (published, e))?;
+            out.per_shard.push(Some(result));
+            out.versions.push(version);
         }
-        let pinned = self.pin();
-        check_co_partitioned(&self.spec, pinned[0].database(), cq)?;
-        sharded_count(&self.pool, &pinned, cq, tree)
+        Ok(out)
     }
 
-    /// Route a batch by the shard hash and apply each sub-batch to its
-    /// shard via the shard's publish lane ([`SnapshotCell::update`]).
-    ///
-    /// Atomicity is **per shard**: each shard's sub-batch publishes as
-    /// one snapshot (all or nothing), but there is no cross-shard
-    /// transaction — if shard `k` rejects its sub-batch, shards before
-    /// it have already published theirs. The returned error names the
-    /// failing shard; sub-batches keep the incoming order within each
-    /// shard, so per-key ordering is preserved (one key always routes to
-    /// one shard).
+    /// [`ShardedEngine::update_routed`] applying each sub-batch as is.
     ///
     /// # Errors
     /// The first failing shard's error.
     pub fn update_all(&self, updates: Vec<Update>) -> Result<ShardedDelta, TsensError> {
-        let routed = route_updates(&self.spec, self.shards(), updates);
-        let mut delta = ShardedDelta {
-            per_shard: vec![0; self.shards()],
-            ..ShardedDelta::default()
-        };
-        for (s, batch) in routed.into_iter().enumerate() {
-            if batch.is_empty() {
-                delta.versions.push(self.cells[s].version());
-                continue;
-            }
-            let (applied, version) =
-                self.cells[s].update_versioned(move |fork| fork.apply_all(batch))?;
-            delta.applied += applied;
-            delta.per_shard[s] = applied;
-            delta.published += 1;
-            delta.versions.push(version);
-        }
-        Ok(delta)
+        let routed = self
+            .update_routed(updates, |fork, batch, _| fork.apply_all(batch))
+            .map_err(|(_, e)| e)?;
+        let per_shard: Vec<usize> = routed.per_shard.iter().map(|a| a.unwrap_or(0)).collect();
+        Ok(ShardedDelta {
+            applied: per_shard.iter().sum(),
+            published: routed.per_shard.iter().flatten().count(),
+            per_shard,
+            versions: routed.versions,
+        })
     }
 }
 
@@ -300,6 +296,12 @@ mod tests {
     use tsens_data::{Relation, Schema, Value};
     use tsens_query::{auto_decompose, gyo_decompose};
 
+    /// Co-partition check, then the count gathered over every shard.
+    fn count(engine: &ShardedEngine, q: &ConjunctiveQuery, tree: &DecompositionTree) -> Count {
+        check_co_partitioned(engine.spec(), engine.primary().load().database(), q).unwrap();
+        sharded_count(engine.pool(), &engine.pin(), q, tree).unwrap()
+    }
+
     /// Follow(U,V) ⋈ Like(U,P): both relations keyed on U at column 0,
     /// so the default spec co-partitions them.
     fn social_db(rows: usize) -> Database {
@@ -347,7 +349,7 @@ mod tests {
         let truth = EngineSession::new(&db).count_query(&q, &tree).unwrap();
         for n in [1, 2, 4, 7] {
             let engine = ShardedEngine::new(db.clone(), n).unwrap();
-            assert_eq!(engine.count(&q, &tree).unwrap(), truth, "n={n}");
+            assert_eq!(count(&engine, &q, &tree), truth, "n={n}");
         }
     }
 
@@ -358,7 +360,7 @@ mod tests {
         let tree = gyo_decompose(&q).unwrap().expect_acyclic("one atom");
         let truth = EngineSession::new(&db).count_query(&q, &tree).unwrap();
         let engine = ShardedEngine::new(db.clone(), 4).unwrap();
-        assert_eq!(engine.count(&q, &tree).unwrap(), truth);
+        assert_eq!(count(&engine, &q, &tree), truth);
     }
 
     #[test]
@@ -368,17 +370,20 @@ mod tests {
         let tree = auto_decompose(&q).unwrap();
         let truth = EngineSession::new(&db).count_query(&q, &tree).unwrap();
 
-        // N=1 serves it like the plain engine.
+        // N=1 serves it like the plain engine: one shard needs no check.
         let single = ShardedEngine::new(db.clone(), 1).unwrap();
-        assert_eq!(single.count(&q, &tree).unwrap(), truth);
+        let pinned = single.pin();
+        assert_eq!(
+            sharded_count(single.pool(), &pinned, &q, &tree).unwrap(),
+            truth
+        );
 
         let engine = ShardedEngine::new(db.clone(), 2).unwrap();
-        let err = engine.count(&q, &tree).unwrap_err();
+        let err = check_co_partitioned(engine.spec(), &db, &q).unwrap_err();
         assert!(
             matches!(err, TsensError::CrossShardJoin { ref detail } if detail.contains("shard-key")),
             "got {err}"
         );
-        assert!(engine.check_scatter_gather(&q).is_err());
     }
 
     #[test]
@@ -407,7 +412,42 @@ mod tests {
         assert_eq!(touched, delta.published);
 
         let truth = mono.count_query(&q, &tree).unwrap();
-        assert_eq!(engine.count(&q, &tree).unwrap(), truth);
+        assert_eq!(count(&engine, &q, &tree), truth);
+    }
+
+    #[test]
+    fn routed_forks_see_input_positions_and_failures_count_earlier_publishes() {
+        let engine = ShardedEngine::new(social_db(20), 4).unwrap();
+        let ups: Vec<Update> = (0..8)
+            .map(|u| Update::insert(0, vec![Value::Int(u), Value::Int(99)]))
+            .collect();
+        let mut seen: Vec<Vec<usize>> = Vec::new();
+        let routed = engine
+            .update_routed(ups.clone(), |fork, batch, positions| {
+                seen.push(positions.to_vec());
+                fork.apply_all(batch)
+            })
+            .unwrap();
+        // Each touched shard gets its own input positions, in order.
+        let mut all = seen.concat();
+        all.sort_unstable();
+        assert!(all == (0..8).collect::<Vec<_>>() && seen.iter().all(|p| p.is_sorted()));
+        assert_eq!(routed.per_shard.iter().flatten().count(), seen.len());
+        assert_eq!(routed.versions, engine.versions());
+
+        // Fail the fork holding input op 5: the shards before it keep
+        // their publishes, and the error says how many there were.
+        let before = engine.versions();
+        let (published, _) = engine
+            .update_routed(ups, |fork, batch, positions| match positions.contains(&5) {
+                true => Err(tsens_data::DataError::Malformed("op 5".into()).into()),
+                false => fork.apply_all(batch),
+            })
+            .unwrap_err();
+        let failing = seen.iter().position(|p| p.contains(&5)).unwrap();
+        assert_eq!(published, failing);
+        let after = engine.versions();
+        assert_eq!((0..4).filter(|&s| after[s] > before[s]).count(), failing);
     }
 
     #[test]

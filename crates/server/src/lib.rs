@@ -21,24 +21,25 @@
 //! publishes with a pointer swap, carrying the warm caches forward.
 //!
 //! With `--shards N` the rows are hash-partitioned by each relation's
-//! shard-key column across N independent shard sessions: `/query`
-//! scatter-gathers count/tsens/elastic (sums, maxes, and merged-`mf`
-//! respectively — see `tsens_core::sharded` for the soundness
-//! argument), `/update` routes each op to its owning shard's publish
-//! lane, and `/stats` reports per-shard versions plus aggregates.
-//! Cross-shard joins and the topk/DP operators answer 400 on sharded
-//! deployments; durability remains single-shard.
+//! shard-key column across N independent shard sessions. The same
+//! handlers serve every N: `/query` scatter-gathers count/tsens/elastic
+//! (sums, maxes, and merged-`mf` respectively — see `tsens_core::sharded`
+//! for the soundness argument), `/update` routes each op to its owning
+//! shard's publish lane, and `/stats` sums the shards' counters and
+//! breaks them down per shard. At one shard every gather is the plain
+//! session call. Above one shard, cross-shard joins and the topk/DP
+//! operators answer 400; durability remains single-shard.
 //!
 //! Endpoints:
 //!
-//! | Endpoint         | Method | Body                                      |
-//! |------------------|--------|-------------------------------------------|
-//! | `/query`         | POST   | `op=`/`join=`/`where=`… (see [`wire`])    |
-//! | `/query_batch`   | POST   | `/query` bodies separated by `---` lines  |
-//! | `/update`        | POST   | `+,R,v…` / `-,R,v…` delta lines           |
-//! | `/stats`         | GET    | — (SessionStats + snapshot version)       |
-//! | `/healthz`       | GET    | —                                         |
-//! | `/shutdown`      | POST   | — (drains the worker pool)                |
+//! | Endpoint         | Method | Body                                         |
+//! |------------------|--------|----------------------------------------------|
+//! | `/query`         | POST   | `op=`/`join=`/`where=`… (see [`wire`])       |
+//! | `/query_batch`   | POST   | `/query` bodies separated by `---` lines     |
+//! | `/update`        | POST   | `+,R,v…` / `-,R,v…` delta lines              |
+//! | `/stats`         | GET    | — (summed SessionStats, versions, per shard) |
+//! | `/healthz`       | GET    | —                                            |
+//! | `/shutdown`      | POST   | — (drains the worker pool)                   |
 //!
 //! The request path is **panic-free on untrusted input** end to end:
 //! unknown relations, bad arities, junk bodies and unseen predicate

@@ -1,18 +1,26 @@
 //! The serving core: a fixed pool of worker threads accepting
-//! connections on one `TcpListener`, serving each database from an
-//! atomically-published session snapshot ([`SnapshotCell`]).
+//! connections on one `TcpListener`, serving each database from
+//! atomically-published session snapshots ([`SnapshotCell`]), one per
+//! hash shard of a [`ShardedEngine`].
 //!
 //! # Snapshot model
 //!
 //! Readers **never block on writers**: `/query` pins the current
-//! snapshot (`Arc` clone, nanoseconds) and computes against it; a
-//! concurrent `/update` forks the session copy-on-write, applies the
-//! whole delta off to the side, and publishes the fork with an atomic
-//! pointer swap. Every answer therefore reflects exactly one published
-//! snapshot — never a half-applied delta — and updates are **atomic**:
-//! a delta that fails validation mid-batch discards the fork, leaving
-//! the published snapshot untouched (PR 5's `RwLock` server stopped at
-//! the first bad op with earlier ops already applied).
+//! snapshot of every shard (`Arc` clones, nanoseconds) and computes
+//! against them; a concurrent `/update` forks each touched shard's
+//! session copy-on-write, applies its sub-batch off to the side, and
+//! publishes the fork with an atomic pointer swap. Every answer
+//! therefore reflects one published snapshot per shard — never a
+//! half-applied sub-batch — and each shard's sub-batch is **atomic**:
+//! one that fails validation discards the fork, leaving that shard's
+//! published snapshot untouched.
+//!
+//! # One path for every shard count
+//!
+//! Each endpoint has one handler. The gather functions and
+//! [`ShardedEngine::update_routed`] are the plain session call and one
+//! fork-and-publish at one shard; only the co-partition check and the
+//! `tsens_topk`/`tsensdp` refusals look at the shard count.
 //!
 //! Warm caches are carried forward: atom lifts, pass states, and memoized
 //! results accumulated by readers against the old snapshot remain hits
@@ -57,9 +65,9 @@ use tsens_core::{
 use tsens_data::io::parse_ops_indexed;
 use tsens_data::{DataError, Database, TsensError, Update};
 use tsens_dp::truncation::TruncationProfile;
-use tsens_dp::tsensdp::tsensdp_answer_from_profile;
+use tsens_dp::tsensdp::{noise_scales_are_finite, tsensdp_answer_from_profile};
 use tsens_engine::{
-    check_co_partitioned, sharded_count, EngineSession, ShardedEngine, SnapshotCell,
+    check_co_partitioned, sharded_count, EngineSession, SessionStats, ShardedEngine, SnapshotCell,
 };
 use tsens_query::{auto_decompose, classify, ConjunctiveQuery, DecompositionTree, Predicate};
 
@@ -73,9 +81,9 @@ const IDLE_POLL: Duration = Duration::from_millis(50);
 const KEEP_ALIVE_IDLE: Duration = Duration::from_secs(30);
 
 /// One served database: the name clients address it by, the sharded
-/// engine publishing its per-shard snapshots (one shard = exactly the
-/// old single-cell layout), and (optionally) its durable half —
-/// durability is single-shard only, enforced at construction.
+/// engine publishing its per-shard snapshots, and (optionally) its
+/// durable half — durability is single-shard only, enforced at
+/// construction.
 struct NamedDb {
     name: String,
     engine: ShardedEngine,
@@ -98,8 +106,7 @@ impl ServerState {
 
     /// [`ServerState::new`] with every database hash-partitioned across
     /// `shards` engine shards (each its own session + snapshot cell; see
-    /// [`ShardedEngine`]). One shard is byte-for-byte the unsharded
-    /// serving path.
+    /// [`ShardedEngine`]).
     ///
     /// # Errors
     /// Invalid shard counts (0 or above the engine maximum).
@@ -357,27 +364,43 @@ fn route(
     }
 }
 
+/// `GET /stats`: one body for any shard count. The `snapshot`, `dict`,
+/// `cache`, `updates` and `parallel` blocks sum the shards' counters,
+/// and `per_shard` lists versions, tuples and maintenance by shard.
+/// O(relations × shards): nothing here touches rows.
 fn handle_stats(state: &ServerState, req: &Request) -> (u16, String) {
     let ndb = match state.find(req.query_param("db")) {
         Ok(d) => d,
         Err((status, msg)) => return (status, error_body(&msg)),
     };
-    if ndb.engine.shards() > 1 {
-        return handle_stats_sharded(ndb);
-    }
-    let cell = ndb.engine.primary();
-    let session = cell.load();
-    let db = session.database();
-    let enc = session.encoded();
-    let dict = session.dict();
-    let s = session.stats();
+    let pinned = ndb.engine.pin();
+    let versions = ndb.engine.versions();
+    let s: SessionStats = pinned.iter().map(|p| p.stats()).sum();
+    let sum = |f: fn(&EngineSession<'static>) -> usize| pinned.iter().map(|p| f(p)).sum::<usize>();
+    let per: Vec<String> = pinned
+        .iter()
+        .zip(&versions)
+        .enumerate()
+        .map(|(shard, (session, version))| {
+            let ss = session.stats();
+            format!(
+                "{{\"shard\":{shard},\"version\":{version},\"tuples\":{},\
+                 \"updates_applied\":{},\"passes_invalidated\":{},\"passes_maintained\":{}}}",
+                session.database().total_tuples(),
+                ss.updates_applied,
+                ss.passes_invalidated,
+                ss.passes_maintained,
+            )
+        })
+        .collect();
+    let publishes: u64 = versions.iter().sum();
     let durability = match &ndb.durability {
         Some(d) => d.stats_json(),
         None => "{\"enabled\":false}".to_owned(),
     };
     let body = format!(
         "{{\"ok\":true,\"db\":\"{}\",\"relations\":{},\"total_tuples\":{},\
-         \"snapshot\":{{\"version\":{},\"forks\":{}}},\
+         \"snapshot\":{{\"version\":{publishes},\"forks\":{}}},\
          \"dict\":{{\"len\":{},\"base\":{},\"overflow\":{},\"epoch\":{}}},\
          \"cache\":{{\"atom_hits\":{},\"atom_misses\":{},\"pass_hits\":{},\"pass_misses\":{},\
          \"result_hits\":{},\"result_misses\":{},\"mf_hits\":{},\"mf_misses\":{}}},\
@@ -386,16 +409,16 @@ fn handle_stats(state: &ServerState, req: &Request) -> (u16, String) {
          \"atoms_maintained\":{},\"passes_maintained\":{},\"results_maintained\":{},\
          \"mf_maintained\":{}}},\
          \"parallel\":{{\"pool_threads\":{},\"pass_tasks\":{},\"join_tasks\":{}}},\
-         \"durability\":{durability}}}",
+         \"durability\":{durability},\"shards\":{},\"publishes\":{publishes},\
+         \"per_shard\":[{}]}}",
         json_escape(&ndb.name),
-        db.relation_count(),
-        db.total_tuples(),
-        cell.version(),
+        pinned[0].database().relation_count(),
+        sum(|p| p.database().total_tuples()),
         s.forks,
-        dict.len(),
-        dict.base_len(),
-        dict.overflow_len(),
-        enc.epoch(),
+        sum(|p| p.dict().len()),
+        sum(|p| p.dict().base_len()),
+        sum(|p| p.dict().overflow_len()),
+        pinned.iter().map(|p| p.encoded().epoch()).sum::<u64>(),
         s.atom_hits,
         s.atom_misses,
         s.pass_hits,
@@ -417,44 +440,7 @@ fn handle_stats(state: &ServerState, req: &Request) -> (u16, String) {
         s.pool_threads,
         s.parallel_pass_tasks,
         s.parallel_join_tasks,
-    );
-    (200, body)
-}
-
-/// `/stats` for a sharded database: catalog-wide aggregates (tuples and
-/// update counters summed, publishes summed across shards) plus a
-/// per-shard breakdown — the observable surface the load generator and
-/// the CI smoke job read per-shard publish counts from.
-fn handle_stats_sharded(ndb: &NamedDb) -> (u16, String) {
-    let pinned = ndb.engine.pin();
-    let versions = ndb.engine.versions();
-    let relations = pinned[0].database().relation_count();
-    let mut total_tuples = 0usize;
-    let mut updates_applied = 0u64;
-    let mut publishes = 0u64;
-    let per: Vec<String> = pinned
-        .iter()
-        .zip(&versions)
-        .enumerate()
-        .map(|(shard, (session, &version))| {
-            let s = session.stats();
-            let tuples = session.database().total_tuples();
-            total_tuples += tuples;
-            updates_applied += s.updates_applied;
-            publishes += version;
-            format!(
-                "{{\"shard\":{shard},\"version\":{version},\"tuples\":{tuples},\
-                 \"updates_applied\":{},\"passes_invalidated\":{},\"passes_maintained\":{}}}",
-                s.updates_applied, s.passes_invalidated, s.passes_maintained,
-            )
-        })
-        .collect();
-    let body = format!(
-        "{{\"ok\":true,\"db\":\"{}\",\"shards\":{},\"relations\":{relations},\
-         \"total_tuples\":{total_tuples},\"updates_applied\":{updates_applied},\
-         \"publishes\":{publishes},\"per_shard\":[{}],\"durability\":{{\"enabled\":false}}}}",
-        json_escape(&ndb.name),
-        ndb.engine.shards(),
+        pinned.len(),
         per.join(","),
     );
     (200, body)
@@ -472,15 +458,9 @@ fn handle_query(state: &ServerState, req: &Request) -> (u16, String) {
     };
     // Pin the current snapshot of every shard for this request: updates
     // published while we compute don't disturb it, and it's freed when
-    // the last pin drops. With one shard this is exactly the old
-    // single-snapshot path.
+    // the last pin drops.
     let pinned = ndb.engine.pin();
-    let result = if pinned.len() == 1 {
-        run_query(&pinned[0], &ndb.name, &parsed)
-    } else {
-        run_query_sharded(&ndb.engine, &pinned, &ndb.name, &parsed)
-    };
-    match result {
+    match run_query(&ndb.engine, &pinned, &ndb.name, &parsed) {
         Ok(body) => (200, body),
         Err((status, msg)) => (status, error_body(&msg)),
     }
@@ -514,12 +494,7 @@ fn handle_batch(state: &ServerState, req: &Request) -> (u16, String) {
                         s
                     }
                 };
-                let run = if sessions.len() == 1 {
-                    run_query(&sessions[0], &ndb.name, q)
-                } else {
-                    run_query_sharded(&ndb.engine, &sessions, &ndb.name, q)
-                };
-                match run {
+                match run_query(&ndb.engine, &sessions, &ndb.name, q) {
                     Ok(body) => body,
                     Err((_, msg)) => error_body(&msg),
                 }
@@ -602,43 +577,77 @@ fn build_query(
     Ok((cq, tree))
 }
 
-/// Execute one parsed query against a pinned snapshot.
+/// Execute one parsed query against a database's pinned shard
+/// snapshots, for any number of shards (one shard is the plain session
+/// call in every gather function):
+///
+/// * `count` — per-shard counts summed;
+/// * `tsens` — per-shard reports max-merged;
+/// * `elastic` — computed from globally merged `mf` statistics, exact
+///   for any query with no co-partition requirement;
+/// * `tsens_topk` / `tsensdp` — served from shard 0, and rejected with
+///   400 above one shard: top-k frequency capping and the SVT release
+///   are not proven scatter-gather exact.
+///
+/// Above one shard, count and tsens enforce the co-partition rule and a
+/// cross-shard join answers 400 (the query shape does not fit this
+/// deployment). Every shard session is resident over the whole catalog,
+/// so any other engine error is a server-side bug and answers 500.
 fn run_query(
-    session: &EngineSession<'static>,
+    engine: &ShardedEngine,
+    pinned: &[Arc<EngineSession<'static>>],
     db_name: &str,
     q: &QueryRequest,
 ) -> Result<String, (u16, String)> {
-    let db = session.database();
+    let db = pinned[0].database();
     let (cq, tree) = build_query(db, q)?;
-    // A full server session is resident over the whole catalog, so
-    // session errors here indicate a server-side bug, not a bad request.
-    let internal = |e: TsensError| (500, e.to_string());
+    let engine_err = |e: TsensError| match e {
+        TsensError::CrossShardJoin { .. } => (400, e.to_string()),
+        other => (500, other.to_string()),
+    };
 
     match q.op {
         QueryOp::Count => {
-            let count = session.count_query(&cq, &tree).map_err(internal)?;
+            if pinned.len() > 1 {
+                check_co_partitioned(engine.spec(), db, &cq).map_err(engine_err)?;
+            }
+            let count = sharded_count(engine.pool(), pinned, &cq, &tree).map_err(engine_err)?;
             Ok(format!(
                 "{{\"ok\":true,\"op\":\"count\",\"db\":\"{}\",\"count\":{count}}}",
                 json_escape(db_name)
             ))
         }
         QueryOp::Tsens => {
-            let report = session.tsens(&cq, &tree).map_err(internal)?;
+            let report = sharded_tsens_checked(engine.pool(), engine.spec(), pinned, &cq, &tree)
+                .map_err(engine_err)?;
             Ok(report_body(db, db_name, "tsens", "", &report))
         }
         QueryOp::TsensTopk => {
-            let report = session.tsens_topk(&cq, &tree, q.k).map_err(internal)?;
+            if pinned.len() > 1 {
+                return Err((
+                    400,
+                    "tsens_topk is not available on a sharded deployment \
+                     (top-k capping is not scatter-gather exact); serve it with --shards 1"
+                        .to_owned(),
+                ));
+            }
+            let report = pinned[0].tsens_topk(&cq, &tree, q.k).map_err(engine_err)?;
             let extra = format!("\"k\":{},", q.k);
             Ok(report_body(db, db_name, "tsens_topk", &extra, &report))
         }
         QueryOp::Elastic => {
             let plan = plan_order_from_tree(&tree);
-            let elastic = session
-                .elastic_sensitivity(&cq, &plan, 0)
-                .map_err(internal)?;
+            let elastic = elastic_sensitivity_sharded(pinned, &cq, &plan, 0).map_err(engine_err)?;
             Ok(elastic_body(db, db_name, &elastic))
         }
         QueryOp::TsensDp => {
+            if pinned.len() > 1 {
+                return Err((
+                    400,
+                    "tsensdp is not available on a sharded deployment; serve it with --shards 1"
+                        .to_owned(),
+                ));
+            }
             let private = q.private.as_deref().expect("checked by the wire parser");
             let rel_idx = db
                 .relation_index(private)
@@ -648,8 +657,8 @@ fn run_query(
                 .iter()
                 .position(|a| a.relation == rel_idx)
                 .ok_or_else(|| (400, format!("{private:?} is not in the query")))?;
-            let profile =
-                TruncationProfile::build_session(session, &cq, &tree, atom).map_err(internal)?;
+            let profile = TruncationProfile::build_session(&pinned[0], &cq, &tree, atom)
+                .map_err(engine_err)?;
             // The SVT threshold scan is linear in ℓ, so a wire-supplied
             // ℓ must be bounded by what the data can justify — an
             // astronomical ℓ would wedge this worker in a billions-long
@@ -660,6 +669,16 @@ fn run_query(
                 return Err((
                     400,
                     format!("ell {ell} exceeds the data-justified cap {ell_cap}"),
+                ));
+            }
+            // A finite but tiny ε can still overflow a noise scale.
+            if !noise_scales_are_finite(ell, q.epsilon) {
+                return Err((
+                    400,
+                    format!(
+                        "epsilon {:?} with ell {ell} gives a non-finite Laplace noise scale",
+                        q.epsilon
+                    ),
                 ));
             }
             // Deterministic noise is no noise: a client-known seed lets
@@ -682,67 +701,6 @@ fn run_query(
                 r.threshold
             ))
         }
-    }
-}
-
-/// Execute one parsed query scatter-gather across the pinned shard
-/// snapshots of a multi-shard database.
-///
-/// * `count` — per-shard counts summed (co-partition rule enforced);
-/// * `tsens` — per-shard reports max-merged (co-partition rule
-///   enforced);
-/// * `elastic` — computed from globally merged `mf` statistics, exact
-///   for any query with no co-partition requirement;
-/// * `tsens_topk` / `tsensdp` — rejected with 400: top-k frequency
-///   capping and the SVT release are not proven scatter-gather exact,
-///   so they are served from single-shard deployments only.
-///
-/// Cross-shard joins answer 400 (the query shape does not fit this
-/// deployment); all shard catalogs are identical, so any other shard
-/// error indicates a server-side bug and answers 500.
-fn run_query_sharded(
-    engine: &ShardedEngine,
-    pinned: &[Arc<EngineSession<'static>>],
-    db_name: &str,
-    q: &QueryRequest,
-) -> Result<String, (u16, String)> {
-    let db = pinned[0].database();
-    let (cq, tree) = build_query(db, q)?;
-    let classify_err = |e: TsensError| match e {
-        TsensError::CrossShardJoin { .. } => (400, e.to_string()),
-        other => (500, other.to_string()),
-    };
-
-    match q.op {
-        QueryOp::Count => {
-            check_co_partitioned(engine.spec(), db, &cq).map_err(classify_err)?;
-            let count = sharded_count(engine.pool(), pinned, &cq, &tree).map_err(classify_err)?;
-            Ok(format!(
-                "{{\"ok\":true,\"op\":\"count\",\"db\":\"{}\",\"count\":{count}}}",
-                json_escape(db_name)
-            ))
-        }
-        QueryOp::Tsens => {
-            let report = sharded_tsens_checked(engine.pool(), engine.spec(), pinned, &cq, &tree)
-                .map_err(classify_err)?;
-            Ok(report_body(db, db_name, "tsens", "", &report))
-        }
-        QueryOp::Elastic => {
-            let plan = plan_order_from_tree(&tree);
-            let elastic =
-                elastic_sensitivity_sharded(pinned, &cq, &plan, 0).map_err(classify_err)?;
-            Ok(elastic_body(db, db_name, &elastic))
-        }
-        QueryOp::TsensTopk => Err((
-            400,
-            "tsens_topk is not available on a sharded deployment \
-             (top-k capping is not scatter-gather exact); serve it with --shards 1"
-                .to_owned(),
-        )),
-        QueryOp::TsensDp => Err((
-            400,
-            "tsensdp is not available on a sharded deployment; serve it with --shards 1".to_owned(),
-        )),
     }
 }
 
@@ -816,23 +774,25 @@ fn report_body(
     )
 }
 
-/// `POST /update`: parse the delta against the current snapshot's
-/// catalog (fixed at load time — no DDL endpoints), then fork → apply →
-/// publish. The batch is atomic: any failing op discards the fork and
-/// answers 400 with the published snapshot unchanged. Readers are never
-/// blocked — they keep answering from the old snapshot until the
-/// publish, and from the new one after.
+/// `POST /update`: parse the delta against the current catalog (fixed
+/// at load time — no DDL endpoints; every shard holds the same one),
+/// route each op by the shard hash, then fork → apply → publish each
+/// shard's sub-batch through its own snapshot cell. Readers are never
+/// blocked — they keep answering from the old snapshots until each
+/// publish, and from the new ones after.
+///
+/// Each shard's sub-batch is atomic: any failing op discards that
+/// shard's fork and answers 400 naming the input op. There is no
+/// cross-shard transaction, so shards routed before the failing one
+/// keep what they published, and the 400 says so. With one shard the
+/// whole batch is one fork and one publish.
 fn handle_update(state: &ServerState, req: &Request) -> (u16, String) {
     let ndb = match state.find(req.query_param("db")) {
         Ok(d) => d,
         Err((status, msg)) => return (status, error_body(&msg)),
     };
-    if ndb.engine.shards() > 1 {
-        return handle_update_sharded(ndb, req);
-    }
-    let cell = ndb.engine.primary();
     let ops = {
-        let snap = cell.load();
+        let snap = ndb.engine.primary().load();
         match parse_ops_indexed(snap.database(), &req.body) {
             Ok(ops) => ops,
             Err(e) => return (400, error_body(&e.to_string())),
@@ -846,31 +806,29 @@ fn handle_update(state: &ServerState, req: &Request) -> (u16, String) {
     let mut failed_at: Option<usize> = None;
     let mut wal_failed: Option<String> = None;
     let t0 = Instant::now();
-    let result = cell.update_versioned(|fork| {
+    let result = ndb.engine.update_routed(updates, |fork, batch, positions| {
         let before = fork.stats();
-        let applied = match fork.apply_all_diagnosed(updates) {
-            Ok(n) => n,
-            Err((i, e)) => {
-                failed_at = Some(i);
-                return Err(e);
-            }
-        };
+        let applied = fork.apply_all_diagnosed(batch).map_err(|(i, e)| {
+            failed_at = Some(positions[i]);
+            e
+        })?;
         // Durability barrier: the batch applied cleanly — log it (and
         // under fsync=always, make it stable) *before* the publish.
         // A failed append discards the fork: readers never see state
-        // the WAL cannot reproduce.
+        // the WAL cannot reproduce. Durable databases have one shard
+        // (`ServerState::from_sessions`), so each batch is logged once.
         if let Some(d) = &ndb.durability {
             if let Err(e) = d.append_batch(&req.body) {
                 wal_failed = Some(e.to_string());
                 return Err(DataError::Malformed("WAL append failed".into()).into());
             }
         }
-        Ok((applied, before, fork.stats()))
+        Ok((applied, fork.stats() - before))
     });
     let micros = t0.elapsed().as_micros();
-    let ((applied, before, after), version) = match result {
+    let routed = match result {
         Ok(r) => r,
-        Err(e) => {
+        Err((published, e)) => {
             if let Some(w) = wal_failed {
                 return (
                     503,
@@ -879,83 +837,50 @@ fn handle_update(state: &ServerState, req: &Request) -> (u16, String) {
                     )),
                 );
             }
-            let msg = match failed_at {
+            let mut msg = match failed_at {
                 Some(i) => format!("op #{i} ({}): {e}", located[i]),
                 None => e.to_string(),
             };
+            if published > 0 {
+                msg.push_str(&format!(
+                    " ({published} shard(s) routed before the failing one \
+                     already published their sub-batches)"
+                ));
+            }
             return (400, error_body(&msg));
         }
     };
-    let body = format!(
-        "{{\"ok\":true,\"db\":\"{}\",\"applied\":{applied},\"total\":{total},\"micros\":{micros},\
-         \"snapshot_version\":{version},\
-         \"invalidated\":{{\"passes\":{},\"results\":{},\"atoms\":{},\"mf\":{}}},\
-         \"maintained\":{{\"passes\":{},\"results\":{},\"atoms\":{},\"mf\":{}}},\"dict_epochs\":{}}}",
-        json_escape(&ndb.name),
-        after.passes_invalidated - before.passes_invalidated,
-        after.results_invalidated - before.results_invalidated,
-        after.atoms_invalidated - before.atoms_invalidated,
-        after.mf_invalidated - before.mf_invalidated,
-        after.passes_maintained - before.passes_maintained,
-        after.results_maintained - before.results_maintained,
-        after.atoms_maintained - before.atoms_maintained,
-        after.mf_maintained - before.mf_maintained,
-        after.dict_epochs - before.dict_epochs,
-    );
-    (200, body)
-}
-
-/// `POST /update` against a multi-shard database: parse the delta once
-/// (all shard catalogs are identical, so shard 0's catalog validates
-/// for everyone), route each op by the shard hash, and publish each
-/// shard's sub-batch through its own snapshot cell.
-///
-/// Atomicity is **per shard**, not cross-shard: a shard's sub-batch
-/// publishes as one snapshot (all or nothing), but if shard `k` rejects
-/// its sub-batch, shards routed before it have already published theirs
-/// — the 400 says so explicitly. Sharded databases are never durable
-/// (enforced at construction), so there is no WAL lane here.
-fn handle_update_sharded(ndb: &NamedDb, req: &Request) -> (u16, String) {
-    debug_assert!(ndb.durability.is_none(), "durability is single-shard only");
-    let ops = {
-        let snap = ndb.engine.primary().load();
-        match parse_ops_indexed(snap.database(), &req.body) {
-            Ok(ops) => ops,
-            Err(e) => return (400, error_body(&e.to_string())),
-        }
-    };
-    let total = ops.len();
-    let updates: Vec<Update> = ops.into_iter().map(|o| o.update).collect();
-    let t0 = Instant::now();
-    let delta = match ndb.engine.update_all(updates) {
-        Ok(d) => d,
-        Err(e) => {
-            return (
-                400,
-                error_body(&format!(
-                    "sharded update failed (shards routed before the failing one \
-                     have already published their sub-batches): {e}"
-                )),
-            );
-        }
-    };
-    let micros = t0.elapsed().as_micros();
-    let per: Vec<String> = delta
+    let applied: usize = routed.per_shard.iter().flatten().map(|(n, _)| n).sum();
+    let d: SessionStats = routed.per_shard.iter().flatten().map(|(_, d)| *d).sum();
+    let per: Vec<String> = routed
         .per_shard
         .iter()
-        .zip(&delta.versions)
+        .zip(&routed.versions)
         .enumerate()
-        .map(|(shard, (&applied, &version))| {
+        .map(|(shard, (r, version))| {
+            let applied = r.as_ref().map_or(0, |(n, _)| *n);
             format!("{{\"shard\":{shard},\"applied\":{applied},\"snapshot_version\":{version}}}")
         })
         .collect();
     let body = format!(
-        "{{\"ok\":true,\"db\":\"{}\",\"applied\":{},\"total\":{total},\"micros\":{micros},\
+        "{{\"ok\":true,\"db\":\"{}\",\"applied\":{applied},\"total\":{total},\"micros\":{micros},\
+         \"snapshot_version\":{},\
+         \"invalidated\":{{\"passes\":{},\"results\":{},\"atoms\":{},\"mf\":{}}},\
+         \"maintained\":{{\"passes\":{},\"results\":{},\"atoms\":{},\"mf\":{}}},\"dict_epochs\":{},\
          \"shards\":{},\"published\":{},\"per_shard\":[{}]}}",
         json_escape(&ndb.name),
-        delta.applied,
-        ndb.engine.shards(),
-        delta.published,
+        routed.versions.iter().sum::<u64>(),
+        d.passes_invalidated,
+        d.results_invalidated,
+        d.atoms_invalidated,
+        d.mf_invalidated,
+        d.passes_maintained,
+        d.results_maintained,
+        d.atoms_maintained,
+        d.mf_maintained,
+        d.dict_epochs,
+        routed.versions.len(),
+        routed.per_shard.iter().flatten().count(),
         per.join(","),
     );
     (200, body)

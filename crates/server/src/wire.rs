@@ -162,8 +162,8 @@ pub fn parse_query(body: &str) -> Result<QueryRequest, String> {
     if req.op == QueryOp::TsensTopk && req.k == 0 {
         return Err("k must be at least 1".into());
     }
-    if req.op == QueryOp::TsensDp && (req.epsilon.is_nan() || req.epsilon <= 0.0) {
-        return Err("epsilon must be positive".into());
+    if req.op == QueryOp::TsensDp && !(req.epsilon.is_finite() && req.epsilon > 0.0) {
+        return Err("epsilon must be finite and positive".into());
     }
     if req.op == QueryOp::TsensDp && req.ell == Some(0) {
         return Err("ell must be at least 1".into());
@@ -243,6 +243,8 @@ mod tests {
         assert!(parse_query("unknown_key=1").is_err());
         assert!(parse_query("op=tsensdp").is_err(), "tsensdp needs private=");
         assert!(parse_query("op=tsensdp\nprivate=R\nepsilon=-1").is_err());
+        assert!(parse_query("op=tsensdp\nprivate=R\nepsilon=inf").is_err());
+        assert!(parse_query("op=tsensdp\nprivate=R\nepsilon=NaN").is_err());
         assert!(parse_query("op=tsens_topk\nk=0").is_err());
     }
 

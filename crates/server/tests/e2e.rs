@@ -123,6 +123,11 @@ fn serves_figure1_with_updates_errors_and_shutdown() {
             "/query",
             "op=tsensdp\nprivate=R1\nell=4000000000\njoin=R1,R2,R3,R4",
         ),
+        // `inf` parses as an f64, and `1e-320` is positive but overflows
+        // the Laplace scale ℓ/(ε/4): both would trip the mechanism's
+        // asserts.
+        post(addr, "/query", "op=tsensdp\nprivate=R1\nepsilon=inf"),
+        post(addr, "/query", "op=tsensdp\nprivate=R1\nepsilon=1e-320"),
         get(addr, "/query"),
         get(addr, "/no-such-endpoint"),
     ];
@@ -149,19 +154,10 @@ fn serves_figure1_with_updates_errors_and_shutdown() {
     assert_eq!(status, 200);
     assert!(body.contains("\"count\":5"), "{body}");
 
-    // Stats expose the session counters and dictionary sizes.
-    let (status, body) = get(addr, "/stats");
-    assert_eq!(status, 200);
-    for key in [
-        "\"relations\":4",
-        "\"dict\"",
-        "\"pass_hits\"",
-        "\"updates\"",
-    ] {
-        assert!(body.contains(key), "missing {key} in {body}");
-    }
-    // Named database addressing works, unknown names 404.
-    assert_eq!(get(addr, "/stats?db=fig1").0, 200);
+    // Stats (their shape is pinned in `sharded.rs`) address databases
+    // by name; unknown names 404.
+    let (status, body) = get(addr, "/stats?db=fig1");
+    assert!(status == 200 && body.contains("\"relations\":4"), "{body}");
     assert_eq!(get(addr, "/stats?db=nope").0, 404);
 
     // Clean shutdown: the endpoint answers, then every worker drains.

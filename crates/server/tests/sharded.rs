@@ -4,6 +4,7 @@
 //! updates per shard, and reject what sharding cannot serve (cross-shard
 //! joins, topk, DP releases) with clean 400s.
 
+use std::collections::BTreeSet;
 use std::net::TcpListener;
 use tsens_data::{Database, Relation, Schema, Value};
 use tsens_server::{client, Server, ServerState};
@@ -114,60 +115,96 @@ fn sharded_answers_match_single_shard_ground_truth() {
     sharded_srv.stop();
 }
 
-#[test]
-fn updates_route_per_shard_and_requery_matches() {
-    let (truth_srv, truth) = start(1);
-    let (sharded_srv, sharded) = start(4);
+/// Every key of a flat-string JSON body (no escaped quotes): the
+/// segment before each `":`.
+fn key_set(body: &str) -> BTreeSet<&str> {
+    let parts: Vec<&str> = body.split('"').collect();
+    parts
+        .windows(2)
+        .filter(|w| w[1].starts_with(':'))
+        .map(|w| w[0])
+        .collect()
+}
 
-    // Users 0..8 hash to several different shards; the same delta goes
-    // to both servers.
+/// `body` with every witness string replaced by `*`.
+fn without_witnesses(body: &str) -> String {
+    let mut parts = body.split("\"witness\":\"");
+    let head = parts.next().unwrap_or_default().to_owned();
+    parts.fold(head, |out, p| {
+        out + "\"witness\":*" + p.split_once('"').map_or(p, |x| x.1)
+    })
+}
+
+/// One server at `shards` shards around a routed update: the answers
+/// after it, the update ack and the `/stats` body.
+fn update_and_stats(shards: usize) -> (Vec<(u16, String)>, String, String) {
+    let (srv, addr) = start(shards);
+    // Users 0..8 hash to several different shards.
     let delta = "+,Follow,0,50\n+,Follow,1,51\n+,Follow,2,52\n+,Follow,3,53\n\
                  +,Like,4,9\n+,Like,5,9\n-,Follow,0,0\n+,Follow,7,54";
-    let (ts, tb) = post(truth, "/update?db=social", delta);
-    assert_eq!(ts, 200, "{tb}");
-    let (ss, sb) = post(sharded, "/update?db=social", delta);
-    assert_eq!(ss, 200, "{sb}");
-    assert!(sb.contains("\"applied\":8"), "{sb}");
-    assert!(sb.contains("\"shards\":4"), "{sb}");
-    assert!(sb.contains("\"per_shard\":["), "{sb}");
-    // At least one shard published; no shard published more than once.
-    assert!(sb.contains("\"published\":"), "{sb}");
-
-    for q in [
-        "op=count\ndb=social\njoin=Follow,Like",
-        "op=tsens\ndb=social\njoin=Follow,Like",
-        "op=count\ndb=social\njoin=Follow\nwhere=Follow.U=7",
-    ] {
-        let (_, tb) = post(truth, "/query", q);
-        let (_, sb) = post(sharded, "/query", q);
-        assert_eq!(tb, sb, "diverged after update on {q}");
-    }
-
-    // A bad op mid-batch: per-shard atomicity, error says so.
-    let (status, body) = post(sharded, "/update?db=social", "+,Follow,8,1\n+,Nope,1,2");
-    assert_eq!(status, 400, "{body}");
-
-    // Sharded stats expose the per-shard publish surface.
-    let (status, stats) = get(sharded, "/stats?db=social");
+    let (status, ack) = post(addr, "/update?db=social", delta);
+    assert_eq!(status, 200, "{ack}");
+    assert!(ack.contains(&format!("\"shards\":{shards},")), "{ack}");
+    // Readers of the first `"applied"` get the batch total.
+    let total_at = ack.find("\"applied\":8,").expect("batch total");
+    assert!(Some(total_at) < ack.find("\"per_shard\":["), "{ack}");
+    let batch = "op=count\ndb=social\njoin=Follow,Like\n---\nop=count\ndb=path\njoin=R";
+    let answers = vec![
+        post(addr, "/query", "op=count\ndb=social\njoin=Follow,Like"),
+        post(addr, "/query", "op=tsens\ndb=social\njoin=Follow,Like"),
+        post(
+            addr,
+            "/query",
+            "op=count\ndb=social\njoin=Follow\nwhere=Follow.U=7",
+        ),
+        post(addr, "/query_batch", batch),
+        // A bad op mid-batch is a 400.
+        post(addr, "/update?db=social", "+,Follow,8,1\n+,Nope,1,2"),
+    ];
+    let (status, stats) = get(addr, "/stats?db=social");
     assert_eq!(status, 200, "{stats}");
-    for key in [
-        "\"shards\":4",
-        "\"per_shard\":[",
-        "\"publishes\":",
-        "\"total_tuples\":",
-    ] {
-        assert!(stats.contains(key), "missing {key} in {stats}");
-    }
+    assert!(stats.contains(&format!("\"shards\":{shards},")), "{stats}");
+    srv.stop();
+    (answers, ack, stats)
+}
 
-    // Batches mix sharded databases and pin per-shard snapshots.
-    let (status, body) = post(
-        sharded,
-        "/query_batch",
-        "op=count\ndb=social\njoin=Follow,Like\n---\nop=count\ndb=path\njoin=R",
+#[test]
+fn updates_route_per_shard_and_requery_matches() {
+    let (truth, truth_ack, truth_stats) = update_and_stats(1);
+    assert!(
+        truth[3].1.starts_with("{\"ok\":true,\"count\":2,"),
+        "{truth:?}"
     );
-    assert_eq!(status, 200, "{body}");
-    assert!(body.starts_with("{\"ok\":true,\"count\":2,"), "{body}");
+    assert_eq!(truth[4].0, 400, "{truth:?}");
+    let ack_keys = key_set(&truth_ack);
+    for key in "applied snapshot_version invalidated maintained published per_shard".split(' ') {
+        assert!(ack_keys.contains(key), "missing {key} in {truth_ack}");
+    }
+    let stats_keys = key_set(&truth_stats);
+    let stats_shape = "relations total_tuples snapshot dict cache pass_hits updates parallel \
+                       durability shards publishes per_shard tuples";
+    for key in stats_shape.split_whitespace() {
+        assert!(stats_keys.contains(key), "missing {key} in {truth_stats}");
+    }
+    assert!(
+        truth_stats.contains("\"updates\":{\"applied\":8,"),
+        "{truth_stats}"
+    );
 
-    truth_srv.stop();
-    sharded_srv.stop();
+    let (answers, ack, stats) = update_and_stats(4);
+    assert_eq!(answers, truth, "answers diverged at 4 shards");
+    assert_eq!(key_set(&ack), ack_keys, "{ack}\nvs\n{truth_ack}");
+    assert_eq!(key_set(&stats), stats_keys, "{stats}\nvs\n{truth_stats}");
+
+    // At 2 shards the update leaves users 1 and 2 tied for the largest
+    // Like sensitivity. The shard merge breaks that tie by shard order
+    // and one session by its own table order, so the tsens witness may
+    // name the other tied tuple. Everything else must match byte for
+    // byte.
+    let (answers, ack, stats) = update_and_stats(2);
+    for ((ts, tb), (s, b)) in truth.iter().zip(&answers) {
+        assert_eq!((ts, without_witnesses(tb)), (s, without_witnesses(b)));
+    }
+    assert_eq!(key_set(&ack), ack_keys, "{ack}\nvs\n{truth_ack}");
+    assert_eq!(key_set(&stats), stats_keys, "{stats}\nvs\n{truth_stats}");
 }

@@ -74,7 +74,7 @@ use tsens::core::SessionExt;
 use tsens::data::io::{load_csv, parse_ops};
 use tsens::data::store::{self, FsyncPolicy};
 use tsens::dp::truncation::TruncationProfile;
-use tsens::dp::tsensdp::tsensdp_answer_from_profile;
+use tsens::dp::tsensdp::{noise_scales_are_finite, tsensdp_answer_from_profile};
 use tsens::engine::EngineSession;
 use tsens::prelude::*;
 use tsens::query::auto_decompose;
@@ -119,7 +119,10 @@ fn parse_args() -> Result<Args, String> {
             }
             "--private" => args.private = Some(value("--private")?),
             "--epsilon" => {
-                args.epsilon = value("--epsilon")?.parse().map_err(|_| "bad --epsilon")?
+                args.epsilon = value("--epsilon")?.parse().map_err(|_| "bad --epsilon")?;
+                if !(args.epsilon.is_finite() && args.epsilon > 0.0) {
+                    return Err("--epsilon must be finite and positive".into());
+                }
             }
             "--ell" => args.ell = Some(value("--ell")?.parse().map_err(|_| "bad --ell")?),
             "--seed" => args.seed = value("--seed")?.parse().map_err(|_| "bad --seed")?,
@@ -302,6 +305,12 @@ fn run(args: Args) -> Result<(), String> {
         let profile = TruncationProfile::build_session(&session, &q, &tree, atom)
             .map_err(|e| e.to_string())?;
         let ell = args.ell.unwrap_or(((profile.max_delta() * 3) / 2).max(10));
+        if !noise_scales_are_finite(ell, args.epsilon) {
+            return Err(format!(
+                "--epsilon {:?} with ell {ell} gives no finite positive Laplace noise scale",
+                args.epsilon
+            ));
+        }
         let mut rng = StdRng::seed_from_u64(args.seed);
         let r = tsensdp_answer_from_profile(&profile, ell, args.epsilon, &mut rng);
         println!(
@@ -882,27 +891,12 @@ fn loadgen(args: &[String]) -> Result<(), String> {
         if status != 200 {
             return Err(format!("stats after loadgen answered HTTP {status}"));
         }
-        match stats.find("\"per_shard\":[") {
-            Some(start) => {
-                let tail = &stats[start..];
-                let end = tail.find(']').map(|i| i + 1).unwrap_or(tail.len());
-                println!("per_shard_publishes={}", &tail[..end]);
-            }
-            None => {
-                // Single-shard server: the snapshot version is the
-                // publish count.
-                let version = stats
-                    .find("\"version\":")
-                    .map(|i| {
-                        stats[i + 10..]
-                            .chars()
-                            .take_while(char::is_ascii_digit)
-                            .collect::<String>()
-                    })
-                    .unwrap_or_default();
-                println!("per_shard_publishes=[{{\"shard\":0,\"version\":{version}}}]");
-            }
-        }
+        let start = stats
+            .find("\"per_shard\":[")
+            .ok_or_else(|| format!("stats after loadgen has no per_shard: {stats}"))?;
+        let tail = &stats[start..];
+        let end = tail.find(']').map(|i| i + 1).unwrap_or(tail.len());
+        println!("per_shard_publishes={}", &tail[..end]);
     }
     if let Some(floor) = assert_min_rps {
         if rps < floor {
