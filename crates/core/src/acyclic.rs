@@ -164,7 +164,7 @@ pub fn multiplicity_tables(
     tree: &DecompositionTree,
 ) -> Vec<MultiplicityTable> {
     multiplicity_tables_session(&EngineSession::for_query(db, cq), cq, tree)
-        .expect("one-shot sessions are resident over their query")
+        .expect("one-shot sessions serve their query's relations")
 }
 
 /// Compute the multiplicity table of a single atom — what TSensDP needs
@@ -197,7 +197,7 @@ pub fn multiplicity_table_for(
     atom: usize,
 ) -> MultiplicityTable {
     multiplicity_table_for_session(&EngineSession::for_query(db, cq), cq, tree, atom)
-        .expect("one-shot sessions are resident over their query")
+        .expect("one-shot sessions serve their query's relations")
 }
 
 /// `TSens` (Algorithm 2) over a warm session: local sensitivity, most
@@ -263,7 +263,7 @@ pub fn tsens_with_skips(
     skip_atoms: &[usize],
 ) -> SensitivityReport {
     tsens_with_skips_session(&EngineSession::for_query(db, cq), cq, tree, skip_atoms)
-        .expect("one-shot sessions are resident over their query")
+        .expect("one-shot sessions serve their query's relations")
 }
 
 #[cfg(test)]

@@ -54,7 +54,7 @@ pub fn tsens_topk(
     k: usize,
 ) -> SensitivityReport {
     tsens_topk_session(&EngineSession::for_query(db, cq), cq, tree, k)
-        .expect("one-shot sessions are resident over their query")
+        .expect("one-shot sessions serve their query's relations")
 }
 
 /// [`tsens_topk`] over a warm session. The lifted atoms come from the

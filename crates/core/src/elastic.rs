@@ -21,11 +21,17 @@
 //! Faithful to Flex's known weaknesses, selection predicates are ignored
 //! (its static analysis "will output the same value as for a query without
 //! the selection operators") — that is part of why TSens beats it.
+//!
+//! Every base statistic comes from pinned engine sessions: one session
+//! answers `mf` from its cached [`EngineSession::max_frequency`], and
+//! hash shards combine their per-shard values (see
+//! [`elastic_sensitivity_sharded`]). The one-shot [`elastic_sensitivity`]
+//! runs on [`EngineSession::for_query`], like every other one-shot.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use tsens_data::{
-    sat_add, sat_mul, AttrId, Count, Database, FastMap, Relation, Row, Schema, TsensError,
+    sat_add, sat_mul, AttrId, Count, Database, FastMap, Schema, ShardSpec, TsensError, Value,
 };
 use tsens_engine::session::EngineSession;
 use tsens_query::{ConjunctiveQuery, DecompositionTree};
@@ -53,53 +59,26 @@ pub fn plan_order_from_tree(tree: &DecompositionTree) -> Vec<usize> {
 
 type AttrSet = BTreeSet<AttrId>;
 
-/// Where the oracle's base-relation `mf` statistics come from.
-///
-/// All three sources compute the **same numbers** for the same logical
-/// database: a direct scan of one catalog, a session's shared
-/// cross-query `mf` cache (which additionally amortizes them across
-/// atoms, plans, distances and queries), or a merge across hash-shard
-/// sessions. The merge is exact, not a bound: the shards' relations are
-/// a partition of the global relation's rows, so projecting each
-/// shard's rows into one shared frequency map reproduces the global
-/// multiplicity of every projection value — elastic sensitivity is a
-/// pure function of `mf`, so a sharded engine reports *identical*
-/// elastic bounds to an unsharded one, for any query (no co-partition
-/// requirement).
-#[derive(Clone, Copy)]
-enum BaseMf<'a> {
-    /// Scan the oracle's own catalog.
-    Db,
-    /// A warm session's shared statistics cache.
-    Session(&'a EngineSession<'a>),
-    /// Merge raw rows across shard snapshots (global mf).
-    Shards(&'a [Arc<EngineSession<'static>>]),
-}
-
-/// Max-frequency oracle over the base relations, with memoised
-/// plan-expression lookups layered on top. See [`BaseMf`] for the
-/// statistic sources.
-struct MfOracle<'a> {
-    db: &'a Database,
-    /// Base-relation statistic source.
-    source: BaseMf<'a>,
+/// Max-frequency oracle over the base relations of pinned sessions (one
+/// per shard), with memoised plan-expression lookups layered on top.
+struct MfOracle<'s> {
+    sessions: &'s [&'s EngineSession<'s>],
     /// Atom order in the plan; `plan[j]`'s relation backs leaf `j`.
     plan_atoms: Vec<(usize, Schema)>, // (relation idx, schema)
     /// Cumulative schema of expression node `j` (join of leaves `0..=j`).
     node_attrs: Vec<AttrSet>,
     /// Memo: (node, attr set) → mf bound.
     memo: FastMap<(usize, Vec<AttrId>), Count>,
-    /// Base-relation mf cache: (relation, attr set) → mf.
-    base_memo: FastMap<(usize, Vec<AttrId>), Count>,
+    /// Cross-shard merges: (relation, attr set) → global mf.
+    merged: FastMap<(usize, Vec<AttrId>), Count>,
     /// Relation treated as private and the distance k added to its mf.
     private: usize,
     k: Count,
 }
 
-impl<'a> MfOracle<'a> {
+impl<'s> MfOracle<'s> {
     fn new(
-        db: &'a Database,
-        source: BaseMf<'a>,
+        sessions: &'s [&'s EngineSession<'s>],
         cq: &ConjunctiveQuery,
         plan: &[usize],
         private: usize,
@@ -119,12 +98,11 @@ impl<'a> MfOracle<'a> {
             node_attrs.push(acc.clone());
         }
         MfOracle {
-            db,
-            source,
+            sessions,
             plan_atoms,
             node_attrs,
             memo: FastMap::default(),
-            base_memo: FastMap::default(),
+            merged: FastMap::default(),
             private,
             k,
         }
@@ -132,31 +110,30 @@ impl<'a> MfOracle<'a> {
 
     /// mf of attribute set `x` in base relation `rel` (by catalog index):
     /// the max multiplicity of an `x`-projection value; `|rel|` for `∅`.
+    ///
+    /// Above one shard the shards' rows partition the relation, so the
+    /// global value follows from per-shard ones exactly: `∅` sums the
+    /// shard sizes; a set containing the shard-key attribute takes the
+    /// max of the shards' cached `mf`, because every row sharing a value
+    /// of it lives on one shard; any other set merges the shards'
+    /// grouped projections.
     fn base_mf(&mut self, rel: usize, x: &AttrSet) -> Count {
-        let key = (rel, x.iter().copied().collect::<Vec<_>>());
-        if let BaseMf::Session(s) = self.source {
-            // The session computes from the resident encoding and shares
-            // the statistic across atoms, plans and queries.
-            let mf = s
-                .max_frequency(rel, &key.1)
-                .expect("residency pre-checked at the session entry point");
-            return self.bump_private(rel, mf);
-        }
-        if let Some(&c) = self.base_memo.get(&key) {
-            return self.bump_private(rel, c);
-        }
-        let mf = match self.source {
-            BaseMf::Db => scanned_mf(&[self.db.relation(rel)], x),
-            BaseMf::Shards(sessions) => {
-                let rels: Vec<&Relation> = sessions
-                    .iter()
-                    .map(|s| s.database().relation(rel))
-                    .collect();
-                scanned_mf(&rels, x)
-            }
-            BaseMf::Session(_) => unreachable!("handled above"),
+        let attrs: Vec<AttrId> = x.iter().copied().collect();
+        let shard_mf = |s: &EngineSession<'_>| {
+            s.max_frequency(rel, &attrs)
+                .expect("relations checked at the entry point")
         };
-        self.base_memo.insert(key, mf);
+        let mf = match self.sessions {
+            [one] => shard_mf(one),
+            shards if attrs.is_empty() => shards.iter().fold(0, |acc, s| sat_add(acc, shard_mf(s))),
+            shards if shard_key(shards[0], rel).is_some_and(|a| x.contains(&a)) => {
+                shards.iter().map(|s| shard_mf(s)).max().unwrap_or(0)
+            }
+            shards => *self
+                .merged
+                .entry((rel, attrs))
+                .or_insert_with_key(|(rel, attrs)| merged_mf(shards, *rel, attrs)),
+        };
         self.bump_private(rel, mf)
     }
 
@@ -248,30 +225,33 @@ impl<'a> MfOracle<'a> {
     }
 }
 
-/// mf of attribute set `x` over the rows of `rels` taken together —
-/// with a single relation, the textbook scan; with several (the shard
-/// path) an exact merge: one shared frequency map accumulates every
-/// shard's `x`-projections, so a value split across shards counts its
-/// **global** multiplicity. `∅` sums the table sizes. A slice rather
-/// than an iterator, so both callers share one compiled scan loop.
-fn scanned_mf(rels: &[&Relation], x: &AttrSet) -> Count {
-    if x.is_empty() {
-        return rels.iter().fold(0, |acc, r| sat_add(acc, r.len() as Count));
-    }
-    let mut counts: FastMap<Row, Count> = FastMap::default();
+/// Relation `rel`'s shard-key attribute under
+/// [`ShardSpec::first_column`], the rule `ShardedEngine` partitions by.
+fn shard_key(session: &EngineSession<'_>, rel: usize) -> Option<AttrId> {
+    let db = session.database();
+    let column = ShardSpec::first_column(db).column(rel);
+    db.relation(rel).schema().attrs().get(column).copied()
+}
+
+/// Global mf of `attrs` (which miss the shard key) in relation `rel`:
+/// each shard's grouped encoded projection, decoded through that
+/// shard's own dictionary, merges into one frequency map, so a value
+/// split across shards counts its global multiplicity.
+fn merged_mf(shards: &[&EngineSession<'_>], rel: usize, attrs: &[AttrId]) -> Count {
+    let target = Schema::new(attrs.to_vec());
+    let mut counts: FastMap<Vec<Value>, Count> = FastMap::default();
     let mut max = 0;
-    for r in rels {
-        let positions: Vec<usize> = x
-            .iter()
-            .map(|&a| r.schema().position(a).expect("attr must be in relation"))
-            .collect();
-        for chunk in r.rows().chunks() {
-            for row in chunk {
-                let key: Row = positions.iter().map(|&i| row[i].clone()).collect();
-                let slot = counts.entry(key).or_insert(0);
-                *slot += 1;
-                max = max.max(*slot);
-            }
+    for shard in shards {
+        let dict = shard.dict();
+        let lifted = shard
+            .encoded()
+            .lifted(rel)
+            .expect("relations checked at the entry point");
+        for (codes, c) in lifted.group(&target).iter() {
+            let key = codes.iter().map(|&code| dict.decode(code)).collect();
+            let slot = counts.entry(key).or_insert(0);
+            *slot = sat_add(*slot, c);
+            max = max.max(*slot);
         }
     }
     max
@@ -289,19 +269,19 @@ pub fn elastic_sensitivity(
     plan: &[usize],
     k: Count,
 ) -> ElasticReport {
-    elastic_report(db, BaseMf::Db, cq, plan, k)
+    elastic_sensitivity_session(&EngineSession::for_query(db, cq), cq, plan, k)
+        .expect("one-shot sessions serve their query's relations")
 }
 
-/// [`elastic_sensitivity`] over pinned hash-shard snapshots: base
-/// max-frequency statistics are merged across all shards' raw rows
-/// ([`BaseMf::Shards`]), which reproduces the global statistics
-/// **exactly** — the report equals the unsharded one for any query, with
-/// no co-partition requirement (unlike sharded counts and TSens, elastic
-/// depends on the data only through `mf`). A single shard delegates to
-/// the session path and its shared statistics cache.
+/// [`elastic_sensitivity`] over pinned hash-shard snapshots. The global
+/// `mf` statistics follow exactly from the shards' (see `MfOracle`'s
+/// `base_mf`), so the report equals the unsharded one for any query,
+/// with no co-partition requirement (unlike sharded counts and TSens,
+/// elastic depends on the data only through `mf`). A single shard is
+/// [`elastic_sensitivity_session`].
 ///
 /// # Errors
-/// Propagates session residency errors (single-shard path only).
+/// [`TsensError::NoSuchRelation`] for a relation outside the catalog.
 ///
 /// # Panics
 /// Panics if `sessions` is empty or `plan` is not a permutation of the
@@ -316,13 +296,9 @@ pub fn elastic_sensitivity_sharded(
     if sessions.len() == 1 {
         return elastic_sensitivity_session(&sessions[0], cq, plan, k);
     }
-    Ok(elastic_report(
-        sessions[0].database(),
-        BaseMf::Shards(sessions),
-        cq,
-        plan,
-        k,
-    ))
+    sessions[0].ensure_relations(cq)?;
+    let shards: Vec<&EngineSession<'_>> = sessions.iter().map(Arc::as_ref).collect();
+    Ok(elastic_report(&shards, cq, plan, k))
 }
 
 /// [`elastic_sensitivity`] over a warm session: base max-frequency
@@ -330,6 +306,9 @@ pub fn elastic_sensitivity_sharded(
 /// are computed once per `(relation, attr set)` across all atoms, plans,
 /// distances and queries), and the finished report is memoized per
 /// `(query, plan, k)`.
+///
+/// # Errors
+/// [`TsensError::NoSuchRelation`] for a relation outside the catalog.
 ///
 /// # Panics
 /// Panics if `plan` is not a permutation of the query's atom indices.
@@ -339,24 +318,17 @@ pub fn elastic_sensitivity_session(
     plan: &[usize],
     k: Count,
 ) -> Result<ElasticReport, TsensError> {
-    session.ensure_resident(cq)?;
+    session.ensure_relations(cq)?;
     let mut salt: Vec<u128> = plan.iter().map(|&p| p as u128).collect();
     salt.push(k);
     let cached = session.try_cached_query_result("elastic", cq, None, &salt, || {
-        Ok(elastic_report(
-            session.database(),
-            BaseMf::Session(session),
-            cq,
-            plan,
-            k,
-        ))
+        Ok(elastic_report(&[session], cq, plan, k))
     })?;
     Ok((*cached).clone())
 }
 
 fn elastic_report(
-    db: &Database,
-    source: BaseMf<'_>,
+    sessions: &[&EngineSession<'_>],
     cq: &ConjunctiveQuery,
     plan: &[usize],
     k: Count,
@@ -371,7 +343,7 @@ fn elastic_report(
     let mut per_relation = Vec::with_capacity(cq.atom_count());
     let mut overall: Count = 0;
     for atom in cq.atoms() {
-        let mut oracle = MfOracle::new(db, source, cq, plan, atom.relation, k);
+        let mut oracle = MfOracle::new(sessions, cq, plan, atom.relation, k);
         let s = oracle.sensitivity();
         overall = overall.max(s);
         per_relation.push((atom.relation, s));
@@ -387,7 +359,8 @@ fn elastic_report(
 /// at distance `k` ([`elastic_sensitivity`]). Flex calibrates its noise
 /// with this smooth upper bound (Nissim et al.'s framework); the paper's
 /// experiments use the `k = 0` point, but the full curve is provided for
-/// completeness.
+/// completeness. One session serves every `k`, so each `mf` statistic is
+/// computed once.
 ///
 /// `k` is scanned up to `k_max`; since `Ŝ(k)` grows polynomially in `k`
 /// while `e^{−βk}` decays exponentially, the maximum is attained at small
@@ -404,11 +377,14 @@ pub fn smooth_elastic_bound(
     k_max: Count,
 ) -> f64 {
     assert!(beta > 0.0, "beta must be positive");
+    let session = EngineSession::for_query(db, cq);
     let mut best = 0.0f64;
     let mut since_improved = 0u32;
     let mut k: Count = 0;
     while k <= k_max {
-        let s = elastic_sensitivity(db, cq, plan, k).overall as f64;
+        let s = elastic_sensitivity_session(&session, cq, plan, k)
+            .expect("one-shot sessions serve their query's relations")
+            .overall as f64;
         let term = (-beta * k as f64).exp() * s;
         if term > best {
             best = term;

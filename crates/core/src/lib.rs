@@ -27,11 +27,11 @@
 //! The one-stop entry point is [`local_sensitivity`], which classifies the
 //! query, picks a decomposition and runs the right algorithm — including
 //! the §5.4 handling of disconnected queries. All free functions are
-//! one-shot wrappers over a throwaway **partial** session that encodes
-//! only the relations the query references (`tsens(db, cq, tree)` ≡
+//! one-shot wrappers over a throwaway session whose catalog keeps the
+//! rows of the query's relations only (`tsens(db, cq, tree)` ≡
 //! `EngineSession::for_query(db, cq).tsens(cq, tree)`) — observationally
-//! identical to a full session, without paying to encode the rest of the
-//! catalog.
+//! identical to a session over the whole database, without paying to
+//! encode the rest of it.
 
 pub mod acyclic;
 pub mod approx;
@@ -82,10 +82,10 @@ pub fn local_sensitivity(
     db: &Database,
     cq: &ConjunctiveQuery,
 ) -> Result<SensitivityReport, QueryError> {
-    // One throwaway partial session (resident over exactly the query's
-    // relations) serves the whole computation — for disconnected queries
-    // every component sub-query shares the resident encoding and the
-    // lifted-atom cache instead of rebuilding them.
+    // One throwaway session over the query's relations serves the whole
+    // computation — for disconnected queries every component sub-query
+    // shares the encoding and the lifted-atom cache instead of
+    // rebuilding them.
     EngineSession::for_query(db, cq).local_sensitivity(cq)
 }
 

@@ -29,7 +29,7 @@ use tsens_query::ConjunctiveQuery;
 /// predicates (use [`crate::tsens`], which handles both, in that case).
 pub fn tsens_path(db: &Database, cq: &ConjunctiveQuery) -> Option<SensitivityReport> {
     tsens_path_session(&EngineSession::for_query(db, cq), cq)
-        .expect("one-shot sessions are resident over their query")
+        .expect("one-shot sessions serve their query's relations")
 }
 
 /// Run Algorithm 1 over a warm session: lifted atoms come from the

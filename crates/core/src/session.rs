@@ -61,8 +61,8 @@ pub trait SessionExt {
     /// [`crate::tsens`] on the session's database.
     ///
     /// # Errors
-    /// [`TsensError`] when the (partial) session does not serve one of
-    /// the query's relations — every method here is fallible for the
+    /// [`TsensError`] when one of the query's relations is outside the
+    /// session's catalog — every method here is fallible for the
     /// same reason, so a serving front-end can turn a bad request into
     /// an error response instead of a dead worker.
     fn tsens(

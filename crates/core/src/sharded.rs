@@ -13,12 +13,15 @@
 //!   can join with, so its tuple sensitivity computed inside the shard
 //!   equals its global tuple sensitivity — the paper's decomposition
 //!   runs unchanged per shard and the global worst case is some shard's
-//!   worst case. The merged witness is the achieving shard's witness;
-//! * **elastic** — computed from **globally merged** max-frequency
-//!   statistics ([`crate::elastic::elastic_sensitivity_sharded`]), which
-//!   is exact for *any* query, co-partitioned or not: elastic depends on
-//!   the data only through `mf`, and merging the shards' rows reproduces
-//!   the unsharded `mf` values bit-for-bit.
+//!   worst case. The merged witness is the achieving shard's witness
+//!   (the smallest one on ties);
+//! * **elastic** — computed from **global** max-frequency statistics
+//!   ([`crate::elastic::elastic_sensitivity_sharded`]), which is exact
+//!   for *any* query, co-partitioned or not: elastic depends on the data
+//!   only through `mf`, and the shards' cached per-shard `mf` values
+//!   (summed for `∅`, maxed for sets holding the shard key, otherwise
+//!   merged from grouped projections) reproduce the unsharded values
+//!   bit-for-bit.
 //!
 //! Non-co-partitioned multi-atom count/tsens at more than one shard are
 //! rejected with [`TsensError::CrossShardJoin`].
@@ -66,17 +69,21 @@ pub fn sharded_tsens_checked(
 
 /// Per-relation max across shard reports. All reports come from the
 /// same query on identically-cataloged shards, so their `per_relation`
-/// vectors line up index by index; on ties the earliest shard with a
-/// witness wins, mirroring `from_per_relation`'s first-winner rule.
+/// vectors line up index by index. On ties a witness beats none, and
+/// the smaller witness wins — the smallest-row rule one session's
+/// multiplicity-table max keeps, so the answer does not depend on the
+/// shard count.
 fn merge_max(reports: &[SensitivityReport]) -> SensitivityReport {
     let mut merged: Vec<RelationSensitivity> = reports[0].per_relation.clone();
     for report in &reports[1..] {
         for (slot, candidate) in merged.iter_mut().zip(report.per_relation.iter()) {
             debug_assert_eq!(slot.relation, candidate.relation);
+            let wins_tie = match (&candidate.witness, &slot.witness) {
+                (Some(c), Some(s)) => c.values < s.values,
+                (c, s) => c.is_some() && s.is_none(),
+            };
             if candidate.sensitivity > slot.sensitivity
-                || (candidate.sensitivity == slot.sensitivity
-                    && slot.witness.is_none()
-                    && candidate.witness.is_some())
+                || (candidate.sensitivity == slot.sensitivity && wins_tie)
             {
                 *slot = candidate.clone();
             }

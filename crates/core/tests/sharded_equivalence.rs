@@ -6,7 +6,8 @@
 //!   under the default first-column spec (every atom joins through `H`),
 //!   so count (per-shard sum), tsens (per-shard max) and elastic
 //!   (merged-`mf`) must all match the single session exactly at every
-//!   shard count;
+//!   shard count, and a repeat elastic call above one shard hits every
+//!   shard's `mf` cache;
 //! * **Path and triangle queries** are *not* co-partitioned: count and
 //!   tsens must be typed [`TsensError::CrossShardJoin`] rejections at
 //!   more than one shard — never a silently wrong number — while
@@ -29,7 +30,9 @@ use tsens_core::{
     SessionExt,
 };
 use tsens_data::{Count, Database, Relation, Schema, TsensError, Update, Value};
-use tsens_engine::{check_co_partitioned, sharded_count, EngineSession, ShardedEngine};
+use tsens_engine::{
+    check_co_partitioned, sharded_count, EngineSession, SessionStats, ShardedEngine,
+};
 use tsens_query::{auto_decompose, gyo_decompose, ConjunctiveQuery, DecompositionTree};
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
@@ -104,6 +107,41 @@ fn tsens(
     sharded_tsens_checked(engine.pool(), engine.spec(), &engine.pin(), q, tree)
 }
 
+/// Above one shard, a repeat elastic call reads every shard's cached
+/// `mf` statistics: it adds hits and no misses on every shard.
+fn assert_repeat_elastic_hits_mf_caches(
+    engine: &ShardedEngine,
+    q: &ConjunctiveQuery,
+    plan: &[usize],
+    label: &str,
+) {
+    let n = engine.shards();
+    if n == 1 {
+        return;
+    }
+    let pinned = engine.pin();
+    let before: Vec<SessionStats> = pinned.iter().map(|s| s.stats()).collect();
+    elastic_sensitivity_sharded(&pinned, q, plan, 0).unwrap();
+    for (shard, (session, before)) in pinned.iter().zip(&before).enumerate() {
+        let after = session.stats();
+        prop_assert!(
+            after.mf_hits > before.mf_hits,
+            "shard {} mf hits (n={}, {})",
+            shard,
+            n,
+            label
+        );
+        prop_assert_eq!(
+            after.mf_misses,
+            before.mf_misses,
+            "shard {} mf misses (n={}, {})",
+            shard,
+            n,
+            label
+        );
+    }
+}
+
 /// Full scatter-gather comparison for a co-partitioned query: count,
 /// tsens (LS + per-relation), elastic (overall + per-relation) against
 /// the mono session. Witnesses are not compared — shard-local dict
@@ -150,6 +188,7 @@ fn assert_scatter_gather_matches(
     let et = mono.elastic_sensitivity(q, &plan, 0).unwrap();
     prop_assert_eq!(es.overall, et.overall, "elastic (n={}, {})", n, label);
     prop_assert_eq!(&es.per_relation, &et.per_relation);
+    assert_repeat_elastic_hits_mf_caches(engine, q, &plan, label);
 }
 
 /// Comparison for a NON-co-partitioned join: typed rejection for
@@ -203,6 +242,7 @@ fn assert_rejects_but_elastic_and_atoms_match(
     let et = mono.elastic_sensitivity(q, &plan, 0).unwrap();
     prop_assert_eq!(es.overall, et.overall, "elastic (n={}, {})", n, label);
     prop_assert_eq!(&es.per_relation, &et.per_relation);
+    assert_repeat_elastic_hits_mf_caches(engine, q, &plan, label);
 
     // Single-atom sub-queries always scatter-gather, any routing.
     for rel in 0..db.relation_count() {

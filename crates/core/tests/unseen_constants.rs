@@ -84,7 +84,7 @@ fn every_predicate_operator_with_unseen_constants() {
     for (label, pred) in cases {
         let qp = q.clone().with_predicate(&db, "R", pred);
         let expected = naive_count(&db, &qp);
-        // Encoded one-shot (partial session) and warm full session.
+        // One-shot (query-only session) and warm full session.
         assert_eq!(count_query(&db, &qp, &tree), expected, "{label}: encoded");
         let session = EngineSession::new(&db);
         assert_eq!(

@@ -122,6 +122,38 @@ impl Database {
             .map(|(i, (n, r))| (i, n.as_str(), r.as_ref()))
     }
 
+    /// This catalog (names, schemas, attribute registry) keeping the rows
+    /// of the `keep` relations only: each kept relation is shared by
+    /// `Arc`, every other one is a new empty relation over the same
+    /// schema, so relation indices and names still match.
+    ///
+    /// # Panics
+    /// Panics if an index in `keep` is outside the catalog.
+    pub fn with_rows_of(&self, keep: impl IntoIterator<Item = usize>) -> Database {
+        let mut kept = vec![false; self.relations.len()];
+        for idx in keep {
+            kept[idx] = true;
+        }
+        let relations = self
+            .relations
+            .iter()
+            .zip(kept)
+            .map(|((name, rel), k)| {
+                let rel = if k {
+                    Arc::clone(rel)
+                } else {
+                    Arc::new(Relation::new(rel.schema().clone()))
+                };
+                (name.clone(), rel)
+            })
+            .collect();
+        Database {
+            registry: self.registry.clone(),
+            relations,
+            by_name: self.by_name.clone(),
+        }
+    }
+
     /// Insert one copy of `row` into relation `idx` (the `D ∪ {t}` of
     /// upward tuple sensitivity).
     ///
@@ -191,6 +223,22 @@ mod tests {
         assert!(db.remove_row(idx, &[Value::Int(1)]));
         assert_eq!(db.total_tuples(), 1);
         assert!(!db.remove_row(idx, &[Value::Int(9)]));
+    }
+
+    #[test]
+    fn with_rows_of_keeps_the_catalog_and_only_the_kept_rows() {
+        let mut db = Database::new();
+        let [a, b] = db.attrs(["A", "B"]);
+        let r = db.add_empty("R", Schema::new(vec![a])).unwrap();
+        let s = db.add_empty("S", Schema::new(vec![a, b])).unwrap();
+        db.insert_row(r, vec![Value::Int(1)]);
+        db.insert_row(s, vec![Value::Int(1), Value::Int(2)]);
+        let only_s = db.with_rows_of([s]);
+        assert_eq!(only_s.relation_index("R"), Some(r));
+        assert_eq!(only_s.relation(r).schema(), db.relation(r).schema());
+        assert!(only_s.relation(r).is_empty());
+        assert!(Arc::ptr_eq(&only_s.relations[s].1, &db.relations[s].1));
+        assert_eq!(only_s.registry().len(), 2);
     }
 
     #[test]

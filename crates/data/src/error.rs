@@ -42,7 +42,7 @@ impl fmt::Display for DataError {
 
 impl std::error::Error for DataError {}
 
-/// Errors raised while *serving* requests against a resident encoding or
+/// Errors raised while *serving* requests against an encoded store or
 /// an engine session — the typed replacement for the panics a long-lived
 /// server must never hit on untrusted input.
 ///
@@ -52,16 +52,6 @@ impl std::error::Error for DataError {}
 /// dead worker.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TsensError {
-    /// The request touched a relation that is not resident in a partial
-    /// (one-shot) encoding — only the relations a one-shot query
-    /// references are encoded.
-    NotResident {
-        /// Catalog index of the unresident relation.
-        relation: usize,
-    },
-    /// An update was pushed at a partial (one-shot) encoding, which is a
-    /// read-only snapshot.
-    ReadOnlySession,
     /// A relation index outside the catalog.
     NoSuchRelation {
         /// The out-of-range index.
@@ -89,15 +79,6 @@ pub enum TsensError {
 impl fmt::Display for TsensError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TsensError::NotResident { relation } => {
-                write!(
-                    f,
-                    "relation {relation} is not resident in this partial encoding"
-                )
-            }
-            TsensError::ReadOnlySession => {
-                write!(f, "partial (one-shot) sessions are read-only")
-            }
             TsensError::NoSuchRelation { relation, count } => {
                 write!(
                     f,
@@ -161,12 +142,6 @@ mod tests {
 
     #[test]
     fn tsens_error_display_and_wrapping() {
-        assert!(TsensError::NotResident { relation: 3 }
-            .to_string()
-            .contains("not resident"));
-        assert!(TsensError::ReadOnlySession
-            .to_string()
-            .contains("read-only"));
         assert!(TsensError::NoSuchRelation {
             relation: 9,
             count: 2

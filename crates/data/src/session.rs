@@ -28,14 +28,6 @@
 //! Every relation carries a **version counter** and the dictionary an
 //! **epoch counter**, which `tsens_engine::EngineSession` subscribes to
 //! for selective cache invalidation.
-//!
-//! # Partial residency
-//!
-//! [`EncodedDatabase::for_relations`] encodes only a subset of the
-//! catalog — what one-shot wrappers use so `tsens(db, cq, tree)` pays
-//! for the relations `cq` references instead of the whole database.
-//! Partial encodings are read-only snapshots: [`EncodedDatabase::apply`]
-//! refuses them.
 
 use crate::database::Database;
 use crate::encoded::{Dict, EncodedRelation};
@@ -75,10 +67,6 @@ pub struct EncodedDatabase {
     /// rows with counts, sorted in code order) — the trivial-predicate
     /// lift of each relation, shared by every query that touches it.
     lifted: Vec<Arc<EncodedRelation>>,
-    /// Which relations are resident (encoded). Always all-true for
-    /// [`EncodedDatabase::new`]; partial for
-    /// [`EncodedDatabase::for_relations`].
-    resident: Vec<bool>,
     /// Per-relation version counters, bumped by every update touching
     /// the relation.
     versions: Vec<u64>,
@@ -98,7 +86,7 @@ impl EncodedDatabase {
     /// distinct values — the "preprocessing" a serving deployment pays
     /// once, not per query.
     pub fn new(db: &Database) -> Self {
-        Self::build(db, vec![true; db.relation_count()], &Pool::sequential())
+        Self::new_with_pool(db, &Pool::sequential())
     }
 
     /// Like [`EncodedDatabase::new`], but encodes relations in parallel
@@ -107,36 +95,12 @@ impl EncodedDatabase {
     /// independent per-relation encode+group steps fan out. Results are
     /// identical to the sequential build for any pool size.
     pub fn new_with_pool(db: &Database, pool: &Pool) -> Self {
-        Self::build(db, vec![true; db.relation_count()], pool)
-    }
-
-    /// Encode only the listed relations (by catalog index); the rest get
-    /// empty non-resident placeholders. This is the one-shot wrappers'
-    /// path: a single query pays for its own atoms, not the catalog.
-    /// Partial encodings are read-only ([`EncodedDatabase::apply`]
-    /// returns [`TsensError::ReadOnlySession`] on them).
-    pub fn for_relations(db: &Database, relations: impl IntoIterator<Item = usize>) -> Self {
-        let mut resident = vec![false; db.relation_count()];
-        for r in relations {
-            resident[r] = true;
-        }
-        Self::build(db, resident, &Pool::sequential())
-    }
-
-    fn build(db: &Database, resident: Vec<bool>, pool: &Pool) -> Self {
-        let dict = Arc::new(Dict::from_relations(
-            db.iter()
-                .filter(|&(i, _, _)| resident[i])
-                .map(|(_, _, r)| r),
-        ));
+        let dict = Arc::new(Dict::from_relations(db.iter().map(|(_, _, r)| r)));
         // Per-relation encode+group steps only read the (now frozen)
         // dictionary, so they fan out across the pool independently;
         // `Pool::run` returns them in catalog order.
         let encode_one = |i: usize| {
             let rel = db.relation(i);
-            if !resident[i] {
-                return Arc::new(EncodedRelation::new(rel.schema().clone()));
-            }
             let mut raw = EncodedRelation::with_capacity(rel.schema().clone(), rel.len());
             for row in rel.rows() {
                 raw.push_mapped(row.iter().map(|v| dict.code(v)), 1);
@@ -144,11 +108,10 @@ impl EncodedDatabase {
             Arc::new(raw.group(rel.schema()))
         };
         let lifted = pool.run(db.relation_count(), encode_one);
-        let versions = vec![0; resident.len()];
+        let versions = vec![0; lifted.len()];
         EncodedDatabase {
             dict,
             lifted,
-            resident,
             versions,
             epoch: 0,
             churn: 0,
@@ -166,37 +129,20 @@ impl EncodedDatabase {
     /// selection predicate.
     ///
     /// # Errors
-    /// [`TsensError::NotResident`] when `idx` is not resident in a
-    /// partial encoding, [`TsensError::NoSuchRelation`] when it is
-    /// outside the catalog — a bad request must never kill a serving
-    /// worker.
+    /// [`TsensError::NoSuchRelation`] when `idx` is outside the catalog
+    /// — a bad request must never kill a serving worker.
     #[inline]
     pub fn lifted(&self, idx: usize) -> Result<&Arc<EncodedRelation>, TsensError> {
-        match self.resident.get(idx) {
-            Some(true) => Ok(&self.lifted[idx]),
-            Some(false) => Err(TsensError::NotResident { relation: idx }),
-            None => Err(TsensError::NoSuchRelation {
-                relation: idx,
-                count: self.lifted.len(),
-            }),
-        }
+        self.lifted.get(idx).ok_or(TsensError::NoSuchRelation {
+            relation: idx,
+            count: self.lifted.len(),
+        })
     }
 
     /// Number of encoded relations.
     #[inline]
     pub fn relation_count(&self) -> usize {
         self.lifted.len()
-    }
-
-    /// Whether relation `idx` is resident (encoded).
-    #[inline]
-    pub fn is_resident(&self, idx: usize) -> bool {
-        self.resident[idx]
-    }
-
-    /// True when every relation is resident (the encoding is mutable).
-    pub fn fully_resident(&self) -> bool {
-        self.resident.iter().all(|&r| r)
     }
 
     /// The version counter of relation `idx` — bumped by every update
@@ -215,7 +161,7 @@ impl EncodedDatabase {
         self.epoch
     }
 
-    /// Rebuild a fully-resident encoding from parts loaded off disk —
+    /// Rebuild an encoding from parts loaded off disk —
     /// the snapshot-load constructor ([`crate::store`]). The caller
     /// guarantees `lifted[i]` was encoded with `dict` (the store's CRC
     /// sections protect the pair in transit); delete churn restarts at
@@ -233,11 +179,9 @@ impl EncodedDatabase {
                 lifted.len()
             )));
         }
-        let resident = vec![true; lifted.len()];
         Ok(EncodedDatabase {
             dict: Arc::new(dict),
             lifted: lifted.into_iter().map(Arc::new).collect(),
-            resident,
             versions,
             epoch,
             churn: 0,
@@ -248,8 +192,8 @@ impl EncodedDatabase {
     /// `row`.
     ///
     /// # Errors
-    /// [`TsensError::NotResident`] / [`TsensError::NoSuchRelation`] for a
-    /// bad relation, [`TsensError::Data`] for an arity mismatch.
+    /// [`TsensError::NoSuchRelation`] for a bad relation,
+    /// [`TsensError::Data`] for an arity mismatch.
     pub fn contains(&self, rel: usize, row: &[Value]) -> Result<bool, TsensError> {
         let lifted = self.lifted(rel)?;
         if row.len() != lifted.arity() {
@@ -275,7 +219,6 @@ impl EncodedDatabase {
     /// [`EncodedDatabase::normalize`].
     ///
     /// # Errors
-    /// [`TsensError::ReadOnlySession`] on a partial encoding,
     /// [`TsensError::NoSuchRelation`] on an out-of-range relation, and
     /// [`TsensError::Data`] on a row arity mismatch — all checked before
     /// anything is mutated.
@@ -292,9 +235,6 @@ impl EncodedDatabase {
     /// # Errors
     /// Same as [`EncodedDatabase::apply`].
     pub fn apply_traced(&mut self, update: &Update) -> Result<Option<AppliedDelta>, TsensError> {
-        if !self.fully_resident() {
-            return Err(TsensError::ReadOnlySession);
-        }
         let rel = update.relation();
         if rel >= self.lifted.len() {
             return Err(TsensError::NoSuchRelation {
@@ -408,8 +348,8 @@ impl EncodedDatabase {
 
     /// Run a re-sort epoch if the dictionary has pending overflow *or*
     /// the structural delete churn passed the threshold: rebuild the
-    /// sorted dictionary **compacting away values no resident relation
-    /// references anymore**, remap every resident relation's codes (a
+    /// sorted dictionary **compacting away values no relation
+    /// references anymore**, remap every relation's codes (a
     /// monotone relabeling — only relations that actually held overflow
     /// codes are re-sorted), and bump the epoch counter. Returns whether
     /// an epoch ran.
@@ -424,13 +364,10 @@ impl EncodedDatabase {
             return false;
         }
         self.churn = 0;
-        // Liveness scan: one pass over the resident codes, the same
+        // Liveness scan: one pass over the stored codes, the same
         // order of work as the remap below.
         let mut live = vec![false; self.dict.len()];
-        for (i, rel) in self.lifted.iter().enumerate() {
-            if !self.resident[i] {
-                continue;
-            }
+        for rel in &self.lifted {
             for (row, _) in rel.iter() {
                 for &c in row {
                     live[c as usize] = true;
@@ -721,54 +658,18 @@ mod tests {
     }
 
     #[test]
-    fn partial_encoding_covers_only_requested_relations() {
+    fn malformed_updates_are_typed_errors() {
         let db = sample_db();
-        let enc = EncodedDatabase::for_relations(&db, [1]);
-        assert!(!enc.is_resident(0));
-        assert!(enc.is_resident(1));
-        assert!(!enc.fully_resident());
-        // Dict holds S's values only.
-        assert_eq!(enc.dict().len(), 2);
-        assert_eq!(
-            enc.lifted(1).unwrap().decode(enc.dict()),
-            CountedRelation::from_relation(db.relation(1))
-        );
-    }
-
-    #[test]
-    fn partial_encoding_rejects_unresident_access() {
-        let db = sample_db();
-        let enc = EncodedDatabase::for_relations(&db, [1]);
-        assert_eq!(
-            enc.lifted(0).err(),
-            Some(TsensError::NotResident { relation: 0 }),
-            "unresident access must be a typed error, not a panic"
-        );
+        let mut enc = EncodedDatabase::new(&db);
+        // Out-of-range relation.
         assert_eq!(
             enc.lifted(99).err(),
             Some(TsensError::NoSuchRelation {
                 relation: 99,
                 count: 2
-            })
+            }),
+            "out-of-range access must be a typed error, not a panic"
         );
-    }
-
-    #[test]
-    fn partial_encoding_rejects_updates() {
-        let db = sample_db();
-        let mut enc = EncodedDatabase::for_relations(&db, [1]);
-        assert_eq!(
-            enc.insert(1, vec![Value::str("x")]).err(),
-            Some(TsensError::ReadOnlySession),
-            "read-only mutation must be a typed error, not a panic"
-        );
-    }
-
-    #[test]
-    fn malformed_updates_are_typed_errors() {
-        let db = sample_db();
-        let mut enc = EncodedDatabase::new(&db);
-        // Out-of-range relation.
         assert_eq!(
             enc.insert(7, vec![Value::Int(1)]).err(),
             Some(TsensError::NoSuchRelation {

@@ -72,19 +72,14 @@ pub struct SnapshotInfo {
 /// atomically. Returns the published path.
 ///
 /// # Errors
-/// I/O failures; [`StoreError::Corrupt`] if the encoding is partial
-/// (non-resident relations cannot be persisted).
+/// I/O failures; [`StoreError::Corrupt`] if the catalog and the
+/// encoding disagree on the relation count.
 pub fn save_snapshot(
     dir: &Path,
     generation: u64,
     db: &Database,
     enc: &EncodedDatabase,
 ) -> Result<PathBuf, StoreError> {
-    if !enc.fully_resident() {
-        return Err(StoreError::Corrupt(
-            "cannot snapshot a partial (non-resident) encoding".into(),
-        ));
-    }
     if db.relation_count() != enc.relation_count() {
         return Err(StoreError::Corrupt(format!(
             "catalog/encoding disagree: {} vs {} relations",
@@ -104,7 +99,7 @@ pub fn save_snapshot(
     write_section(&mut w, &catalog_payload(db))?;
     write_section(&mut w, &dict_payload(enc))?;
     for idx in 0..enc.relation_count() {
-        let rel = enc.lifted(idx).expect("fully resident");
+        let rel = enc.lifted(idx).expect("index within the catalog");
         write_section(&mut w, &relation_payload(enc.version(idx), rel))?;
     }
     let mut meta = ByteWriter::with_capacity(16);

@@ -22,9 +22,8 @@
 use crate::laplace::laplace_mechanism;
 use crate::svt::svt_first_above;
 use rand::Rng;
-use tsens_core::elastic::{elastic_sensitivity, plan_order_from_tree};
+use tsens_core::elastic::{elastic_sensitivity_session, plan_order_from_tree};
 use tsens_data::{sat_mul, AttrId, Count, Database, FastMap, Row, TsensError};
-use tsens_engine::yannakakis::count_query;
 use tsens_engine::EngineSession;
 use tsens_query::{ConjunctiveQuery, DecompositionTree};
 
@@ -140,17 +139,17 @@ pub fn privsql_answer<R: Rng>(
         epsilon,
         rng,
     )
-    .expect("one-shot sessions are resident over their query")
+    .expect("one-shot sessions serve their query's relations")
 }
 
 /// [`privsql_answer`] over a warm session. The untruncated `|Q(D)|` is
 /// served by the session's pass cache; the truncated instance is a
 /// *different* database (rows removed by the learned caps), so its count
-/// and its elastic bound are necessarily evaluated one-shot.
+/// and its elastic bound come from one session over that instance.
 ///
 /// # Errors
-/// [`TsensError`] when the (partial) session does not serve one of the
-/// query's relations.
+/// [`TsensError`] when one of the query's relations is outside the
+/// session's catalog.
 ///
 /// # Panics
 /// Panics if the policy references out-of-range atoms or `epsilon ≤ 0`.
@@ -221,8 +220,9 @@ pub fn privsql_answer_session<R: Rng>(
 
     // Phase 2: static global-sensitivity bound on the truncated instance
     // (elastic-style max-frequency propagation), then Laplace.
+    let truncated = EngineSession::for_query(&work, cq);
     let plan = plan_order_from_tree(tree);
-    let elastic = elastic_sensitivity(&work, cq, &plan, 0);
+    let elastic = elastic_sensitivity_session(&truncated, cq, &plan, 0)?;
     let primary_rel = cq.atoms()[policy.primary_atom].relation;
     let global_sensitivity = elastic
         .per_relation
@@ -232,7 +232,7 @@ pub fn privsql_answer_session<R: Rng>(
         .expect("primary relation appears in the elastic report")
         .max(1);
 
-    let truncated_count = count_query(&work, cq, tree);
+    let truncated_count = truncated.count_query(cq, tree)?;
     let noisy = laplace_mechanism(
         rng,
         truncated_count as f64,

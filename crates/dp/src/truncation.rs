@@ -33,8 +33,8 @@ pub struct TruncationProfile {
     deltas: Vec<Count>,
     /// `prefix[i]` = Σ δ(t) over rows with `δ(t) ≤ deltas[i]`.
     prefix: Vec<Count>,
-    /// Per-row `(row index in the relation, δ)` for rows with `δ > 0`.
-    row_deltas: Vec<(usize, Count)>,
+    /// Per-row `δ` for rows with `δ > 0`, in relation order.
+    row_deltas: Vec<Count>,
 }
 
 impl TruncationProfile {
@@ -48,22 +48,22 @@ impl TruncationProfile {
     ) -> Self {
         let atom = &cq.atoms()[private_atom];
         let rel = db.relation(atom.relation);
-        let mut row_deltas: Vec<(usize, Count)> = Vec::new();
-        for (i, row) in rel.rows().iter().enumerate() {
+        let mut row_deltas: Vec<Count> = Vec::new();
+        for row in rel.rows() {
             if !atom.predicate.is_trivial() && !atom.predicate.eval(&atom.schema, row) {
                 continue;
             }
             let delta = table.sensitivity_of(&atom.schema, row);
             if delta > 0 {
-                row_deltas.push((i, delta));
+                row_deltas.push(delta);
             }
         }
         let mut by_delta = row_deltas.clone();
-        by_delta.sort_by_key(|&(_, d)| d);
+        by_delta.sort_unstable();
         let mut deltas: Vec<Count> = Vec::new();
         let mut prefix: Vec<Count> = Vec::new();
         let mut acc: Count = 0;
-        for (_, d) in by_delta {
+        for d in by_delta {
             acc = sat_add(acc, d);
             match deltas.last() {
                 Some(&last) if last == d => *prefix.last_mut().expect("non-empty") = acc,
@@ -85,9 +85,10 @@ impl TruncationProfile {
     /// cache (computed at most once per `(query, tree, atom)`), and the
     /// finished profile is memoized too — repeated-run experiments and
     /// interleaved DP answers over one database only re-draw noise.
+    ///
     /// # Errors
-    /// [`TsensError`] when the (partial) session does not serve one of
-    /// the query's relations.
+    /// [`TsensError`] when one of the query's relations is outside the
+    /// session's catalog.
     pub fn build_session(
         session: &EngineSession<'_>,
         cq: &ConjunctiveQuery,
@@ -134,7 +135,7 @@ impl TruncationProfile {
 
     /// Number of rows that would be dropped when truncating at `τ`.
     pub fn dropped_rows(&self, tau: Count) -> usize {
-        self.row_deltas.iter().filter(|&&(_, d)| d > tau).count()
+        self.row_deltas.iter().filter(|&&d| d > tau).count()
     }
 }
 

@@ -85,7 +85,7 @@ pub fn tsensdp_answer<R: Rng>(
         epsilon,
         rng,
     )
-    .expect("one-shot sessions are resident over their query")
+    .expect("one-shot sessions serve their query's relations")
 }
 
 /// [`tsensdp_answer`] over a warm session: the multiplicity table and
@@ -94,8 +94,8 @@ pub fn tsensdp_answer<R: Rng>(
 /// repeated runs of the same query — only re-draws noise.
 ///
 /// # Errors
-/// [`TsensError`] when the (partial) session does not serve one of the
-/// query's relations.
+/// [`TsensError`] when one of the query's relations is outside the
+/// session's catalog.
 ///
 /// # Panics
 /// Panics if `ell == 0` or `epsilon ≤ 0`.

@@ -62,8 +62,8 @@ use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use tsens_data::{
-    AttrId, Count, DataError, Database, Dict, EncodedDatabase, EncodedRelation, FastMap, Row,
-    Schema, TsensError, Update,
+    sat_add, AttrId, Count, DataError, Database, Dict, EncodedDatabase, EncodedRelation, FastMap,
+    Row, Schema, TsensError, Update,
 };
 use tsens_query::{Atom, ConjunctiveQuery, DecompositionTree, Predicate};
 
@@ -387,18 +387,16 @@ impl<'a> EngineSession<'a> {
         )
     }
 
-    /// Open a **partial, read-only** session resident over the relations
-    /// `cq` references — what the one-shot wrappers use so a single
-    /// query never pays for encoding the rest of the catalog. Queries
-    /// over other relations (and updates) return typed errors.
-    pub fn for_query(db: &'a Database, cq: &ConjunctiveQuery) -> Self {
-        Self::for_relations(db, cq.atoms().iter().map(|a| a.relation))
-    }
-
-    /// [`EngineSession::for_query`] generalized to an explicit relation
-    /// set (catalog indices).
-    pub fn for_relations(db: &'a Database, relations: impl IntoIterator<Item = usize>) -> Self {
-        Self::with_encoding(db, EncodedDatabase::for_relations(db, relations))
+    /// Open a session over a catalog that keeps the rows of `cq`'s
+    /// relations only — what the one-shot wrappers use so a single query
+    /// never pays for encoding the rest of the catalog. Every other
+    /// relation is empty with the same schema, so indices and names
+    /// still match; the session is whole (it takes updates like any
+    /// other), it just holds no rows the query cannot read.
+    pub fn for_query(db: &Database, cq: &ConjunctiveQuery) -> EngineSession<'static> {
+        let catalog = db.with_rows_of(cq.atoms().iter().map(|a| a.relation));
+        let enc = EncodedDatabase::new(&catalog);
+        EngineSession::from_parts(Cow::Owned(catalog), enc, Pool::default())
     }
 
     /// Open a session that **owns** its database — the serving
@@ -423,9 +421,9 @@ impl<'a> EngineSession<'a> {
     ///
     /// # Errors
     /// [`TsensError::Data`] when the pair is inconsistent (relation
-    /// counts disagree, or the encoding is partial) — defense against a
-    /// caller pairing a catalog with someone else's encoding; the
-    /// store's load path always produces a matching pair.
+    /// counts disagree) — defense against a caller pairing a catalog
+    /// with someone else's encoding; the store's load path always
+    /// produces a matching pair.
     pub fn from_encoded(
         db: Database,
         enc: EncodedDatabase,
@@ -438,18 +436,11 @@ impl<'a> EngineSession<'a> {
             ))
             .into());
         }
-        if !enc.fully_resident() {
-            return Err(TsensError::ReadOnlySession);
-        }
         Ok(EngineSession::from_parts(
             Cow::Owned(db),
             enc,
             Pool::default(),
         ))
-    }
-
-    fn with_encoding(db: &'a Database, enc: EncodedDatabase) -> Self {
-        Self::from_parts(Cow::Borrowed(db), enc, Pool::default())
     }
 
     fn from_parts(db: Cow<'a, Database>, enc: EncodedDatabase, pool: Pool) -> Self {
@@ -489,15 +480,14 @@ impl<'a> EngineSession<'a> {
         &self.enc
     }
 
-    /// Check that every relation `cq` references is resident — the
+    /// Check that every relation `cq` references is in the catalog — the
     /// request-path guard algorithms run before diving into infallible
     /// inner plumbing (after it, atom lifts and `mf` lookups over the
     /// query's relations cannot fail).
     ///
     /// # Errors
-    /// [`TsensError::NotResident`] / [`TsensError::NoSuchRelation`] for
-    /// the first offending atom.
-    pub fn ensure_resident(&self, cq: &ConjunctiveQuery) -> Result<(), TsensError> {
+    /// [`TsensError::NoSuchRelation`] for the first offending atom.
+    pub fn ensure_relations(&self, cq: &ConjunctiveQuery) -> Result<(), TsensError> {
         for atom in cq.atoms() {
             self.enc.lifted(atom.relation)?;
         }
@@ -577,8 +567,8 @@ impl<'a> EngineSession<'a> {
     /// empty, never a panic.
     ///
     /// # Errors
-    /// [`TsensError::NotResident`] / [`TsensError::NoSuchRelation`] when
-    /// the atom's relation is not served by this (partial) session, and
+    /// [`TsensError::NoSuchRelation`] when the atom's relation is
+    /// outside the catalog, and
     /// [`TsensError::Data`] when the predicate references an attribute
     /// the relation does not have.
     pub fn lifted_atom(&self, atom: &Atom) -> Result<Arc<EncodedRelation>, TsensError> {
@@ -715,8 +705,8 @@ impl<'a> EngineSession<'a> {
     }
 
     /// [`EngineSession::cached_query_result`] for fallible computations —
-    /// the serving path, where a bad request (unresident relation in a
-    /// partial session) must come back as an error, not cache a poisoned
+    /// the serving path, where a bad request (a relation outside the
+    /// catalog) must come back as an error, not cache a poisoned
     /// entry or kill the worker. Failed computations cache nothing.
     ///
     /// # Errors
@@ -766,8 +756,8 @@ impl<'a> EngineSession<'a> {
     /// repeatedly across atoms, plans and distances.
     ///
     /// # Errors
-    /// [`TsensError::NotResident`] / [`TsensError::NoSuchRelation`] for
-    /// a relation this (partial) session does not serve.
+    /// [`TsensError::NoSuchRelation`] for a relation outside the
+    /// catalog.
     ///
     /// # Panics
     /// Panics if an attribute is not a column of the relation.
@@ -782,11 +772,25 @@ impl<'a> EngineSession<'a> {
         }
         self.stats.mf_misses.fetch_add(1, Ordering::Relaxed);
         let lifted = self.enc.lifted(rel)?;
-        let mf = if key.1.is_empty() {
-            // mf(∅, R) = |R| (row count under bag semantics).
-            lifted.total_count()
+        let target = Schema::new(key.1.clone());
+        let positions = lifted.schema().projection_indices(&target);
+        let mf = if positions.iter().all(|&p| p < positions.len()) {
+            // The set is the leading columns (∅ gives mf(∅, R) = |R|):
+            // the sorted rows hold each of its values as one run, so one
+            // scan finds the largest run without grouping.
+            let (mut max, mut run, mut prev) = (0, 0, None);
+            for (row, c) in lifted.iter() {
+                let key = &row[..positions.len()];
+                run = if prev == Some(key) {
+                    sat_add(run, c)
+                } else {
+                    c
+                };
+                prev = Some(key);
+                max = max.max(run);
+            }
+            max
         } else {
-            let target = Schema::new(key.1.clone());
             lifted
                 .group(&target)
                 .iter()
@@ -824,8 +828,6 @@ impl<'a> EngineSession<'a> {
     /// delete of an absent row (a no-op: nothing is swept or bumped).
     ///
     /// # Errors
-    /// [`TsensError::ReadOnlySession`] on a partial
-    /// ([`EngineSession::for_query`]) session,
     /// [`TsensError::NoSuchRelation`] on an out-of-range relation,
     /// [`TsensError::Data`] on a row arity mismatch — all checked before
     /// any cache is swept or any state mutated, so a malformed request
@@ -914,9 +916,6 @@ impl<'a> EngineSession<'a> {
     /// Validate a delta against the catalog without touching anything:
     /// the request path's "fail before sweeping" guard.
     fn validate_update(&self, update: &Update) -> Result<(), TsensError> {
-        if !self.enc.fully_resident() {
-            return Err(TsensError::ReadOnlySession);
-        }
         let rel = update.relation();
         let count = self.enc.relation_count();
         if rel >= count {
@@ -1136,7 +1135,7 @@ impl<'a> EngineSession<'a> {
             dropped += repair.len() as u64;
         } else {
             let (codes, dcount) = &delta.rows[0];
-            let new_lift = Arc::clone(self.enc.lifted(rel).expect("updated relation is resident"));
+            let new_lift = Arc::clone(self.enc.lifted(rel).expect("updated relation exists"));
             let dict = Arc::clone(self.enc.dict());
             let passes = self.passes.get_mut().expect("pass cache poisoned");
             for RepairCandidate {
@@ -1204,7 +1203,7 @@ impl<'a> EngineSession<'a> {
         }
         let mut full: Vec<AttrId> = schema_attrs_sorted(self.db.relation(rel).schema());
         full.dedup();
-        let lifted = Arc::clone(self.enc.lifted(rel).expect("updated relation is resident"));
+        let lifted = Arc::clone(self.enc.lifted(rel).expect("updated relation exists"));
         let keys: Vec<(usize, Vec<AttrId>)> =
             mf.keys().filter(|(r, _)| *r == rel).cloned().collect();
         let mut kept = 0u64;
@@ -1597,6 +1596,47 @@ mod tests {
         assert!(session.stats().mf_hits >= 1);
     }
 
+    /// Leading-column sets take the run scan and the rest the group;
+    /// both must match a count over the `Value` rows, also once inserts
+    /// mint overflow codes.
+    #[test]
+    fn max_frequency_matches_value_rows_on_every_attr_set() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut db = Database::new();
+        let attrs = db.attrs(["X", "Y", "Z"]);
+        let mut row = |hi: i64| -> Row {
+            (0..3)
+                .map(|_| Value::Int(rng.random_range(0..hi)))
+                .collect()
+        };
+        let rows = (0..60).map(|_| row(4)).collect();
+        db.add_relation("R", Relation::from_rows(Schema::new(attrs.to_vec()), rows))
+            .unwrap();
+        let mut session = EngineSession::owned(db);
+        for round in 0..3 {
+            let rel = session.database().relation(0).clone();
+            for mask in 0..8usize {
+                let cols: Vec<usize> = (0..3).filter(|i| mask >> i & 1 == 1).collect();
+                let mut freq: FastMap<Row, Count> = FastMap::default();
+                for r in rel.rows() {
+                    *freq
+                        .entry(cols.iter().map(|&i| r[i].clone()).collect())
+                        .or_insert(0) += 1;
+                }
+                let set: Vec<AttrId> = cols.iter().map(|&i| attrs[i]).collect();
+                assert_eq!(
+                    session.max_frequency(0, &set).unwrap(),
+                    freq.values().copied().max().unwrap_or(0),
+                    "round {round}, columns {cols:?}"
+                );
+            }
+            session.insert(0, row(8)).unwrap();
+            session.insert(0, row(8)).unwrap();
+        }
+    }
+
     #[test]
     fn update_invalidates_only_touched_relations() {
         let (db, q, tree) = path_db();
@@ -1749,35 +1789,19 @@ mod tests {
     }
 
     #[test]
-    fn partial_session_serves_its_query_and_rejects_updates() {
+    fn query_session_holds_only_its_query_rows_and_takes_updates() {
         let (db, q, tree) = path_db();
-        let session = EngineSession::for_query(&db, &q);
-        assert_eq!(
-            session.count_query(&q, &tree).unwrap(),
-            naive_count(&db, &q)
-        );
-        // A genuinely partial session (S only) is read-only, and says so
-        // with a typed error instead of panicking.
         let s_only = ConjunctiveQuery::over(&db, "s", &["S"]).unwrap();
         let mut s = EngineSession::for_query(&db, &s_only);
-        assert_eq!(
-            s.insert(1, vec![Value::Int(10), Value::Int(20)]).err(),
-            Some(TsensError::ReadOnlySession)
-        );
-        // Querying a relation the partial session does not serve is a
-        // typed error too — and leaves the session usable afterwards.
-        let r_only = ConjunctiveQuery::over(&db, "r", &["R"]).unwrap();
-        let r_tree = gyo_decompose(&r_only).unwrap().expect_acyclic("single");
-        assert_eq!(
-            s.count_query(&r_only, &r_tree).err(),
-            Some(TsensError::NotResident { relation: 0 })
-        );
+        // R keeps its name and schema but none of its rows.
+        assert_eq!(s.database().relation_name(0), "R");
+        assert!(s.database().relation(0).is_empty());
+        assert_eq!(s.count_query(&q, &tree).unwrap(), 0);
         let s_tree = gyo_decompose(&s_only).unwrap().expect_acyclic("single");
-        assert!(s.count_query(&s_only, &s_tree).is_ok());
-        // And its encoding really is partial: R is not resident.
-        assert!(!EngineSession::for_query(&db, &s_only)
-            .encoded()
-            .is_resident(0));
+        let before = s.count_query(&s_only, &s_tree).unwrap();
+        assert_eq!(before, naive_count(&db, &s_only));
+        s.insert(1, vec![Value::Int(10), Value::Int(20)]).unwrap();
+        assert_eq!(s.count_query(&s_only, &s_tree).unwrap(), before + 1);
     }
 
     #[test]

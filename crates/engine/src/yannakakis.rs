@@ -13,17 +13,17 @@ use tsens_query::{ConjunctiveQuery, DecompositionTree};
 /// Bag-semantics output size `|Q(D)|` via the bottom-up count pass over
 /// `tree`. Works for join trees (acyclic queries) and GHDs alike.
 ///
-/// One-shot wrapper over a throwaway partial session
-/// ([`EngineSession::for_query`](crate::session::EngineSession::for_query)):
-/// only the relations `cq` references are encoded, so a single query
-/// never pays for the rest of the catalog. Callers answering more than
+/// One-shot wrapper over a throwaway session
+/// ([`EngineSession::for_query`](crate::session::EngineSession::for_query))
+/// whose catalog keeps the rows of `cq`'s relations only, so a single
+/// query never pays to encode the rest of the catalog. Callers answering more than
 /// one query over the same database should hold a full
 /// [`crate::session::EngineSession`] instead — the encoding, the lifted
 /// atoms, and the ⊥ pass are then amortized across queries.
 pub fn count_query(db: &Database, cq: &ConjunctiveQuery, tree: &DecompositionTree) -> Count {
     crate::session::EngineSession::for_query(db, cq)
         .count_query(cq, tree)
-        .expect("one-shot sessions are resident over their query")
+        .expect("one-shot sessions serve their query's relations")
 }
 
 #[cfg(test)]

@@ -16,8 +16,8 @@ pub enum QueryError {
     Cyclic,
     /// A user-supplied decomposition is not a valid GHD for the query.
     InvalidDecomposition(String),
-    /// The serving session could not answer the request (unresident
-    /// relation, read-only partial session, …) — lets entry points that
+    /// The serving session could not answer the request (a relation
+    /// outside the catalog, …) — lets entry points that
     /// classify *and* run a query report both kinds of failure.
     Session(TsensError),
 }

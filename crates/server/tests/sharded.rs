@@ -126,15 +126,6 @@ fn key_set(body: &str) -> BTreeSet<&str> {
         .collect()
 }
 
-/// `body` with every witness string replaced by `*`.
-fn without_witnesses(body: &str) -> String {
-    let mut parts = body.split("\"witness\":\"");
-    let head = parts.next().unwrap_or_default().to_owned();
-    parts.fold(head, |out, p| {
-        out + "\"witness\":*" + p.split_once('"').map_or(p, |x| x.1)
-    })
-}
-
 /// One server at `shards` shards around a routed update: the answers
 /// after it, the update ack and the `/stats` body.
 fn update_and_stats(shards: usize) -> (Vec<(u16, String)>, String, String) {
@@ -191,20 +182,13 @@ fn updates_route_per_shard_and_requery_matches() {
         "{truth_stats}"
     );
 
-    let (answers, ack, stats) = update_and_stats(4);
-    assert_eq!(answers, truth, "answers diverged at 4 shards");
-    assert_eq!(key_set(&ack), ack_keys, "{ack}\nvs\n{truth_ack}");
-    assert_eq!(key_set(&stats), stats_keys, "{stats}\nvs\n{truth_stats}");
-
-    // At 2 shards the update leaves users 1 and 2 tied for the largest
-    // Like sensitivity. The shard merge breaks that tie by shard order
-    // and one session by its own table order, so the tsens witness may
-    // name the other tied tuple. Everything else must match byte for
-    // byte.
-    let (answers, ack, stats) = update_and_stats(2);
-    for ((ts, tb), (s, b)) in truth.iter().zip(&answers) {
-        assert_eq!((ts, without_witnesses(tb)), (s, without_witnesses(b)));
+    // The update leaves users 1 and 2 tied for the largest Like
+    // sensitivity; the shard merge and one session both name the
+    // smaller tied tuple, so every answer matches byte for byte.
+    for shards in [2, 4] {
+        let (answers, ack, stats) = update_and_stats(shards);
+        assert_eq!(answers, truth, "answers diverged at {shards} shards");
+        assert_eq!(key_set(&ack), ack_keys, "{ack}\nvs\n{truth_ack}");
+        assert_eq!(key_set(&stats), stats_keys, "{stats}\nvs\n{truth_stats}");
     }
-    assert_eq!(key_set(&ack), ack_keys, "{ack}\nvs\n{truth_ack}");
-    assert_eq!(key_set(&stats), stats_keys, "{stats}\nvs\n{truth_stats}");
 }
