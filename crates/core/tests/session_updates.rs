@@ -12,7 +12,7 @@
 
 use proptest::prelude::*;
 use tsens_core::{naive_local_sensitivity, plan_order_from_tree, tsens, SessionExt};
-use tsens_data::{Database, Relation, Row, Schema, Update, Value};
+use tsens_data::{AttrId, Database, Relation, Row, Schema, Update, Value};
 use tsens_engine::naive_eval::naive_count;
 use tsens_engine::EngineSession;
 use tsens_query::{auto_decompose, gyo_decompose, ConjunctiveQuery, DecompositionTree, Predicate};
@@ -219,6 +219,52 @@ proptest! {
         let (db, q) = database(&[("A", "B"), ("B", "C"), ("C", "A")], &[r0, r1, r2]);
         let ghd = auto_decompose(&q).unwrap();
         run_interleaved(db, &q, &ghd, &ops);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A single-row write patches `mf` over the relation's leading
+    /// columns instead of dropping it: after an insert into
+    /// `Follow(U, V)`, `mf(Follow, {U})` is a cache hit. Every cached
+    /// set (∅, {U}, {V}, {U, V}) answers what a fresh session over the
+    /// mirror answers, after inserts, deletes and new-value epochs.
+    #[test]
+    fn leading_column_mf_is_patched_on_follow_writes(
+        rows in rows_strategy(12, 4),
+        ops in prop::collection::vec((0usize..3, 0..4i64, 0..4i64), 1..16),
+    ) {
+        let mut db = Database::new();
+        let [u, v] = db.attrs(["U", "V"]);
+        db.add_relation("Follow", relation(Schema::new(vec![u, v]), &rows))
+            .unwrap();
+        let mut mirror = db.clone();
+        let mut session = EngineSession::owned(db);
+        let sets: [&[AttrId]; 4] = [&[], &[u], &[v], &[u, v]];
+        for attrs in sets {
+            session.max_frequency(0, attrs).unwrap();
+        }
+        for &(kind, x, y) in &ops {
+            apply_op(&mut session, &mut mirror, &(kind, 0, x, y));
+            let fresh = EngineSession::new(&mirror);
+            let hits = session.stats().mf_hits;
+            let got = session.max_frequency(0, &[u]).unwrap();
+            prop_assert_eq!(got, fresh.max_frequency(0, &[u]).unwrap());
+            if kind != 1 {
+                prop_assert_eq!(
+                    session.stats().mf_hits,
+                    hits + 1,
+                    "mf(Follow, {{U}}) must be a hit after an insert"
+                );
+            }
+            for attrs in sets {
+                prop_assert_eq!(
+                    session.max_frequency(0, attrs).unwrap(),
+                    fresh.max_frequency(0, attrs).unwrap()
+                );
+            }
+        }
     }
 }
 

@@ -23,12 +23,14 @@ use std::sync::Arc;
 /// ([`crate::Rows`]). This is what makes snapshot serving cheap — a
 /// writer forks the catalog, applies a delta (paying O(chunk) per row
 /// it touches), and publishes, while readers keep using the old
-/// snapshot.
+/// snapshot. The attribute registry and the name map are shared the
+/// same way, so a clone allocates no strings; interning an attribute or
+/// adding a relation copies them on the first write.
 #[derive(Clone, Default)]
 pub struct Database {
-    registry: AttrRegistry,
+    registry: Arc<AttrRegistry>,
     relations: Vec<(String, Arc<Relation>)>,
-    by_name: HashMap<String, usize>,
+    by_name: Arc<HashMap<String, usize>>,
 }
 
 impl Database {
@@ -39,12 +41,15 @@ impl Database {
 
     /// Intern an attribute name, returning its id.
     pub fn attr(&mut self, name: &str) -> AttrId {
-        self.registry.intern(name)
+        match self.registry.get(name) {
+            Some(id) => id,
+            None => Arc::make_mut(&mut self.registry).intern(name),
+        }
     }
 
     /// Intern several attribute names at once.
     pub fn attrs<const N: usize>(&mut self, names: [&str; N]) -> [AttrId; N] {
-        names.map(|n| self.registry.intern(n))
+        names.map(|n| self.attr(n))
     }
 
     /// Look up an attribute id without interning.
@@ -67,7 +72,7 @@ impl Database {
         }
         let idx = self.relations.len();
         self.relations.push((name.to_owned(), Arc::new(rel)));
-        self.by_name.insert(name.to_owned(), idx);
+        Arc::make_mut(&mut self.by_name).insert(name.to_owned(), idx);
         Ok(idx)
     }
 
@@ -148,9 +153,9 @@ impl Database {
             })
             .collect();
         Database {
-            registry: self.registry.clone(),
+            registry: Arc::clone(&self.registry),
             relations,
-            by_name: self.by_name.clone(),
+            by_name: Arc::clone(&self.by_name),
         }
     }
 
@@ -239,6 +244,28 @@ mod tests {
         assert!(only_s.relation(r).is_empty());
         assert!(Arc::ptr_eq(&only_s.relations[s].1, &db.relations[s].1));
         assert_eq!(only_s.registry().len(), 2);
+    }
+
+    #[test]
+    fn clone_shares_the_registry_and_name_map_until_written() {
+        let mut db = Database::new();
+        let a = db.attr("A");
+        db.add_empty("R", Schema::new(vec![a])).unwrap();
+        let mut copy = db.clone();
+        assert!(Arc::ptr_eq(&copy.registry, &db.registry));
+        assert!(Arc::ptr_eq(&copy.by_name, &db.by_name));
+        // Re-interning a known name writes nothing.
+        assert_eq!(copy.attr("A"), a);
+        assert!(Arc::ptr_eq(&copy.registry, &db.registry));
+
+        let b = copy.attr("B");
+        copy.add_empty("S", Schema::new(vec![a, b])).unwrap();
+        assert_eq!(copy.attr_id("B"), Some(b));
+        assert_eq!(copy.relation_index("S"), Some(1));
+        assert_eq!(db.attr_id("B"), None, "the original registry is unchanged");
+        assert_eq!(db.registry().len(), 1);
+        assert_eq!(db.relation_index("S"), None);
+        assert_eq!(db.relation_count(), 1);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! # Mutability
 //!
 //! The encoding is **maintained under updates** rather than rebuilt:
-//! [`EncodedDatabase::apply`] pushes single-tuple inserts/deletes and
+//! [`EncodedDatabase::apply_traced`] pushes single-tuple inserts/deletes and
 //! bulk loads into the resident relations: in place, or into one copy
 //! when a snapshot still shares the relation. Values the sorted
 //! dictionary has never seen land in its overflow region
@@ -38,7 +38,7 @@ use crate::update::{AppliedDelta, Update};
 use crate::value::Value;
 use std::sync::Arc;
 
-/// Once the dictionary overflow grows past this many values, `apply`
+/// Once the dictionary overflow grows past this many values, `apply_traced`
 /// runs a re-sort epoch on its own — bounding how stale code order can
 /// get inside long update batches while still amortizing the epoch over
 /// many single-tuple deltas. The same threshold bounds **delete churn**
@@ -52,7 +52,7 @@ const OVERFLOW_RESORT_THRESHOLD: usize = 4096;
 ///
 /// The `Arc`s double as copy-on-write snapshots: callers (the engine
 /// session's pass cache, multiplicity-table factors, a forked session)
-/// clone the handles. [`EncodedDatabase::apply`] edits a relation in
+/// clone the handles. [`EncodedDatabase::apply_traced`] edits a relation in
 /// place when nothing else holds it. When something does, the edited
 /// relation is built in one exactly-sized copy (prefix, changed row,
 /// suffix; [`EncodedRelation::insert_row_shared`]) and the holders keep
@@ -207,43 +207,17 @@ impl EncodedDatabase {
         Ok(codes.is_some_and(|codes| lifted.find_row(&codes).is_ok()))
     }
 
-    /// Apply one delta to the resident encoding in place, bumping the
-    /// touched relation's version. Returns `Ok(false)` only for a
-    /// [`Update::Delete`] of a row the relation does not contain (a
-    /// no-op: nothing is bumped).
-    ///
-    /// New values grow the dictionary's overflow region; when it (or the
-    /// structural delete churn) passes a threshold a re-sort epoch runs
-    /// automatically. Callers that need order-isomorphic codes *now*
-    /// (anything about to serve a query) should follow up with
-    /// [`EncodedDatabase::normalize`].
+    /// Check a delta against the catalog without touching anything: the
+    /// relation must exist and every row must match its arity. Both
+    /// [`EncodedDatabase::apply_traced`] and the engine session's
+    /// "fail before sweeping" guard run this one check.
     ///
     /// # Errors
     /// [`TsensError::NoSuchRelation`] on an out-of-range relation, and
-    /// [`TsensError::Data`] on a row arity mismatch — all checked before
-    /// anything is mutated.
-    pub fn apply(&mut self, update: &Update) -> Result<bool, TsensError> {
-        Ok(self.apply_traced(update)?.is_some())
-    }
-
-    /// [`EncodedDatabase::apply`], but returning a code-space
-    /// [`AppliedDelta`] describing what changed (`None` for the
-    /// delete-of-absent no-op). The engine session uses the descriptor
-    /// to repair cached pass states in O(delta); callers that only need
-    /// the boolean should stick with [`EncodedDatabase::apply`].
-    ///
-    /// # Errors
-    /// Same as [`EncodedDatabase::apply`].
-    pub fn apply_traced(&mut self, update: &Update) -> Result<Option<AppliedDelta>, TsensError> {
-        let rel = update.relation();
-        if rel >= self.lifted.len() {
-            return Err(TsensError::NoSuchRelation {
-                relation: rel,
-                count: self.lifted.len(),
-            });
-        }
-        let arity = self.lifted[rel].arity();
-        let check_arity = |row: &Row| -> Result<(), TsensError> {
+    /// [`TsensError::Data`] on a row arity mismatch.
+    pub fn validate(&self, update: &Update) -> Result<(), TsensError> {
+        let arity = self.lifted(update.relation())?.arity();
+        let check = |row: &Row| -> Result<(), TsensError> {
             if row.len() == arity {
                 Ok(())
             } else {
@@ -254,6 +228,31 @@ impl EncodedDatabase {
                 .into())
             }
         };
+        match update {
+            Update::Insert { row, .. } | Update::Delete { row, .. } => check(row),
+            Update::BulkLoad { rows, .. } => rows.iter().try_for_each(check),
+        }
+    }
+
+    /// Apply one delta to the resident encoding in place, bumping the
+    /// touched relation's version, and return a code-space
+    /// [`AppliedDelta`] describing what changed. Returns `Ok(None)` only
+    /// for a [`Update::Delete`] of a row the relation does not contain
+    /// (a no-op: nothing is bumped). The engine session uses the
+    /// descriptor to repair cached pass states in O(delta).
+    ///
+    /// New values grow the dictionary's overflow region; when it (or the
+    /// structural delete churn) passes a threshold a re-sort epoch runs
+    /// automatically. Callers that need order-isomorphic codes *now*
+    /// (anything about to serve a query) should follow up with
+    /// [`EncodedDatabase::normalize`].
+    ///
+    /// # Errors
+    /// As [`EncodedDatabase::validate`], checked before anything is
+    /// mutated.
+    pub fn apply_traced(&mut self, update: &Update) -> Result<Option<AppliedDelta>, TsensError> {
+        self.validate(update)?;
+        let rel = update.relation();
         let mut delta = AppliedDelta {
             relation: rel,
             rows: Vec::new(),
@@ -264,7 +263,6 @@ impl EncodedDatabase {
         let epoch_before = self.epoch;
         let applied = match update {
             Update::Insert { row, .. } => {
-                check_arity(row)?;
                 // Resolve codes immutably first: in the common case every
                 // value is already in the dictionary, and forking a
                 // pinned `Arc<Dict>` (`make_mut` deep-clones it whenever
@@ -288,7 +286,6 @@ impl EncodedDatabase {
                 true
             }
             Update::Delete { row, .. } => {
-                check_arity(row)?;
                 let codes: Option<Vec<u32>> = row.iter().map(|v| self.dict.encode(v)).collect();
                 let found = codes
                     .and_then(|codes| self.lifted[rel].find_row(&codes).ok().map(|i| (codes, i)));
@@ -311,9 +308,6 @@ impl EncodedDatabase {
             }
             Update::BulkLoad { rows, .. } => {
                 delta.bulk = true;
-                for row in rows {
-                    check_arity(row)?;
-                }
                 if rows.is_empty() {
                     return Ok(Some(delta));
                 }
@@ -389,57 +383,6 @@ impl EncodedDatabase {
         self.epoch += 1;
         true
     }
-
-    /// [`EncodedDatabase::apply`] for a whole batch, with one
-    /// [`EncodedDatabase::normalize`] at the end instead of per delta.
-    /// Returns how many deltas applied (deletes of absent rows don't).
-    ///
-    /// # Errors
-    /// Stops at the first failing delta (see [`EncodedDatabase::apply`]);
-    /// earlier deltas stay applied, and the applied prefix is
-    /// normalized before the error returns so the encoding is always
-    /// left order-isomorphic.
-    pub fn apply_all<'u>(
-        &mut self,
-        updates: impl IntoIterator<Item = &'u Update>,
-    ) -> Result<usize, TsensError> {
-        let mut applied = 0;
-        let mut failed = None;
-        for u in updates {
-            match self.apply(u) {
-                Ok(true) => applied += 1,
-                Ok(false) => {}
-                Err(e) => {
-                    failed = Some(e);
-                    break;
-                }
-            }
-        }
-        self.normalize();
-        match failed {
-            Some(e) => Err(e),
-            None => Ok(applied),
-        }
-    }
-
-    /// Insert one copy of `row` into relation `rel`.
-    ///
-    /// # Errors
-    /// See [`EncodedDatabase::apply`].
-    pub fn insert(&mut self, rel: usize, row: Row) -> Result<(), TsensError> {
-        self.apply(&Update::Insert { relation: rel, row })?;
-        self.normalize();
-        Ok(())
-    }
-
-    /// Remove one copy of `row` from relation `rel`, returning whether a
-    /// copy existed.
-    ///
-    /// # Errors
-    /// See [`EncodedDatabase::apply`].
-    pub fn delete(&mut self, rel: usize, row: Row) -> Result<bool, TsensError> {
-        self.apply(&Update::Delete { relation: rel, row })
-    }
 }
 
 #[cfg(test)]
@@ -494,6 +437,11 @@ mod tests {
         }
     }
 
+    /// One delta through the write entry, reporting whether it applied.
+    fn apply(enc: &mut EncodedDatabase, update: Update) -> Result<bool, TsensError> {
+        enc.apply_traced(&update).map(|delta| delta.is_some())
+    }
+
     #[test]
     fn lifted_relations_match_counted_lift() {
         let db = sample_db();
@@ -538,9 +486,10 @@ mod tests {
         let mut db = sample_db();
         let mut enc = EncodedDatabase::new(&db);
         let row = vec![Value::Int(2), Value::str("x")]; // both values known
-        enc.insert(0, row.clone()).unwrap();
+        assert!(apply(&mut enc, Update::insert(0, row.clone())).unwrap());
+        assert!(!enc.normalize(), "no new values → no re-sort epoch");
         db.insert_row(0, row);
-        assert_eq!(enc.epoch(), 0, "no new values → no re-sort epoch");
+        assert_eq!(enc.epoch(), 0);
         assert_eq!(enc.version(0), 1);
         assert_eq!(enc.version(1), 0);
         assert_matches_rebuild(&enc, &db);
@@ -551,7 +500,7 @@ mod tests {
         let mut db = sample_db();
         let mut enc = EncodedDatabase::new(&db);
         let row = vec![Value::Int(1), Value::str("x")];
-        enc.insert(0, row.clone()).unwrap();
+        assert!(apply(&mut enc, Update::insert(0, row.clone())).unwrap());
         db.insert_row(0, row);
         assert_eq!(enc.lifted(0).unwrap().len(), 2, "still two distinct rows");
         assert_eq!(enc.lifted(0).unwrap().total_count(), 4);
@@ -565,9 +514,11 @@ mod tests {
         // Int(0) sorts before every existing value: the epoch must shift
         // every code and keep all relations value-ordered.
         let row = vec![Value::Int(0), Value::str("w")];
-        enc.insert(0, row.clone()).unwrap();
+        assert!(apply(&mut enc, Update::insert(0, row.clone())).unwrap());
+        assert_eq!(enc.epoch(), 0, "the new value waits in the overflow");
+        assert!(enc.normalize());
         db.insert_row(0, row);
-        assert_eq!(enc.epoch(), 1, "insert() normalizes eagerly");
+        assert_eq!(enc.epoch(), 1);
         assert!(enc.dict().is_order_isomorphic());
         assert_matches_rebuild(&enc, &db);
     }
@@ -577,19 +528,21 @@ mod tests {
         let mut db = sample_db();
         let mut enc = EncodedDatabase::new(&db);
         let dup = vec![Value::Int(1), Value::str("x")];
-        assert!(enc.delete(0, dup.clone()).unwrap());
+        assert!(apply(&mut enc, Update::delete(0, dup.clone())).unwrap());
         db.remove_row(0, &dup);
         assert_eq!(enc.lifted(0).unwrap().len(), 2, "count 2 → 1, row stays");
         assert_matches_rebuild(&enc, &db);
-        assert!(enc.delete(0, dup.clone()).unwrap());
+        assert!(apply(&mut enc, Update::delete(0, dup.clone())).unwrap());
         db.remove_row(0, &dup);
         assert_eq!(enc.lifted(0).unwrap().len(), 1, "count 1 → 0, row removed");
         assert_matches_rebuild(&enc, &db);
         // Deleting an absent row is a detected no-op.
-        assert!(!enc.delete(0, dup.clone()).unwrap());
-        assert!(!enc
-            .delete(0, vec![Value::Int(99), Value::str("q")])
-            .unwrap());
+        assert!(!apply(&mut enc, Update::delete(0, dup.clone())).unwrap());
+        assert!(!apply(
+            &mut enc,
+            Update::delete(0, vec![Value::Int(99), Value::str("q")])
+        )
+        .unwrap());
         assert_eq!(enc.version(0), 2, "no-op deletes don't bump versions");
     }
 
@@ -602,8 +555,8 @@ mod tests {
             vec![Value::Int(7), Value::str("x")], // new int value
             vec![Value::Int(7), Value::str("x")], // duplicate within batch
         ];
-        enc.apply_all(&[Update::bulk_load(0, rows.clone())])
-            .unwrap();
+        assert!(apply(&mut enc, Update::bulk_load(0, rows.clone())).unwrap());
+        enc.normalize();
         for r in rows {
             db.insert_row(0, r);
         }
@@ -623,7 +576,10 @@ mod tests {
             Update::insert(0, vec![Value::Int(3), Value::str("m")]),
             Update::delete(1, vec![Value::str("z")]),
         ];
-        enc.apply_all(&updates).unwrap();
+        for u in &updates {
+            assert!(apply(&mut enc, u.clone()).unwrap());
+        }
+        enc.normalize();
         for u in &updates {
             match u {
                 Update::Insert { relation, row } => db.insert_row(*relation, row.clone()),
@@ -651,8 +607,12 @@ mod tests {
         let old_lift = Arc::clone(enc.lifted(0).unwrap());
         let before = old_lift.decode(&old_dict);
         // An epoch-forcing update must not disturb the pinned snapshot.
-        enc.insert(0, vec![Value::Int(-1), Value::str("k")])
-            .unwrap();
+        apply(
+            &mut enc,
+            Update::insert(0, vec![Value::Int(-1), Value::str("k")]),
+        )
+        .unwrap();
+        enc.normalize();
         assert_eq!(old_lift.decode(&old_dict), before);
         assert_ne!(enc.lifted(0).unwrap().len(), old_lift.len());
     }
@@ -671,7 +631,7 @@ mod tests {
             "out-of-range access must be a typed error, not a panic"
         );
         assert_eq!(
-            enc.insert(7, vec![Value::Int(1)]).err(),
+            apply(&mut enc, Update::insert(7, vec![Value::Int(1)])).err(),
             Some(TsensError::NoSuchRelation {
                 relation: 7,
                 count: 2
@@ -684,11 +644,9 @@ mod tests {
                 "expected arity error, got {e:?}"
             );
         };
-        bad(enc.insert(0, vec![Value::Int(1)]).err());
-        bad(enc.delete(0, vec![Value::Int(1)]).err());
-        bad(enc
-            .apply(&Update::bulk_load(0, vec![vec![Value::Int(1)]]))
-            .err());
+        bad(apply(&mut enc, Update::insert(0, vec![Value::Int(1)])).err());
+        bad(apply(&mut enc, Update::delete(0, vec![Value::Int(1)])).err());
+        bad(apply(&mut enc, Update::bulk_load(0, vec![vec![Value::Int(1)]])).err());
         bad(enc.contains(0, &[Value::Int(1)]).err());
         // Nothing was applied or bumped.
         assert_eq!(enc.version(0), 0);
@@ -708,8 +666,8 @@ mod tests {
         // again: the value is dead the moment the delete lands.
         for i in 0..3 * OVERFLOW_RESORT_THRESHOLD as i64 {
             let row = vec![Value::Int(1_000_000 + i), Value::str("x")];
-            assert!(enc.apply(&Update::insert(0, row.clone())).unwrap());
-            assert!(enc.apply(&Update::delete(0, row)).unwrap());
+            assert!(apply(&mut enc, Update::insert(0, row.clone())).unwrap());
+            assert!(apply(&mut enc, Update::delete(0, row)).unwrap());
         }
         assert!(enc.epoch() >= 2, "threshold epochs must have fired");
         // Without compaction the dictionary would hold base + 3×threshold
@@ -742,7 +700,7 @@ mod tests {
         let mut enc = EncodedDatabase::new(&db);
         assert_eq!(enc.dict().len(), n as usize);
         for i in 0..OVERFLOW_RESORT_THRESHOLD as i64 {
-            assert!(enc.delete(0, vec![Value::Int(i)]).unwrap());
+            assert!(apply(&mut enc, Update::delete(0, vec![Value::Int(i)])).unwrap());
         }
         assert!(enc.epoch() >= 1, "delete churn must trigger an epoch");
         assert_eq!(
@@ -765,7 +723,11 @@ mod tests {
         let mut enc = EncodedDatabase::new(&db);
         // Deleting one copy of a duplicated row only decrements its
         // count — no structural churn, nothing orphaned.
-        assert!(enc.delete(0, vec![Value::Int(1), Value::str("x")]).unwrap());
+        assert!(apply(
+            &mut enc,
+            Update::delete(0, vec![Value::Int(1), Value::str("x")])
+        )
+        .unwrap());
         assert!(!enc.normalize(), "below threshold: no epoch");
         assert_eq!(enc.epoch(), 0);
     }

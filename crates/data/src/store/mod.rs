@@ -28,6 +28,12 @@
 //! (the caller re-encodes from CSV). Torn WAL tails are truncated;
 //! anything after a damaged record is *never* replayed — the restored
 //! state is always a prefix of the accepted batches, never a mix.
+//!
+//! The ladder does not apply batches itself. Its caller opens each
+//! snapshot into its own state and applies each WAL record to it. The
+//! server opens an `EngineSession` and replays every record through
+//! the same `apply_all_diagnosed` call that `/update` makes, so there
+//! is one write path, live and at boot.
 
 pub mod format;
 pub mod snapshot;
@@ -40,8 +46,6 @@ pub use snapshot::{
 pub use wal::{replay, truncate_tail, wal_path, FsyncPolicy, Wal, WalReplay};
 
 use crate::error::DataError;
-use crate::io::parse_ops_indexed;
-use crate::update::Update;
 use crate::{Database, EncodedDatabase};
 use std::fs::File;
 use std::path::{Path, PathBuf};
@@ -147,45 +151,6 @@ pub fn list_wals(dir: &Path) -> Result<Vec<(u64, PathBuf)>, StoreError> {
     list_generations(dir, "wal-", ".tlog")
 }
 
-/// Apply one WAL batch (ops text) to a `(catalog, encoding)` pair,
-/// keeping both in sync — the replay-side mirror of what
-/// `EngineSession::apply_all` does on the live path. Returns the number
-/// of ops applied.
-///
-/// # Errors
-/// [`StoreError::Corrupt`] pinpointing the failing op (index + source
-/// line), the same diagnostics the `/update` 4xx body carries.
-pub fn apply_batch_mirrored(
-    db: &mut Database,
-    enc: &mut EncodedDatabase,
-    text: &str,
-) -> Result<u64, StoreError> {
-    let ops = parse_ops_indexed(db, text)
-        .map_err(|e| StoreError::Corrupt(format!("batch parse: {e}")))?;
-    let mut applied = 0u64;
-    for (i, op) in ops.into_iter().enumerate() {
-        let changed = enc
-            .apply(&op.update)
-            .map_err(|e| StoreError::Corrupt(format!("op #{i} ({}): {e}", op.locate())))?;
-        match op.update {
-            Update::Insert { relation, row } => db.insert_row(relation, row),
-            Update::Delete { relation, row } => {
-                if changed {
-                    db.remove_row(relation, &row);
-                }
-            }
-            Update::BulkLoad { relation, rows } => {
-                for row in rows {
-                    db.insert_row(relation, row);
-                }
-            }
-        }
-        applied += 1;
-    }
-    enc.normalize();
-    Ok(applied)
-}
-
 /// How a boot got its state — logged, and surfaced verbatim in
 /// `/stats`.
 #[derive(Debug, Clone, Default)]
@@ -211,11 +176,11 @@ pub struct RecoveryReport {
 }
 
 /// The outcome of [`recover`].
-pub struct Recovery {
+pub struct Recovery<S> {
     /// The restored state, or `None` when nothing on disk was usable
     /// (empty dir, or every snapshot damaged) — the caller falls back
     /// to CSV re-encoding.
-    pub state: Option<(Database, EncodedDatabase)>,
+    pub state: Option<S>,
     /// The generation the next [`Store::create`] should publish at:
     /// one past everything seen on disk, so a recovered boot never
     /// overwrites evidence.
@@ -227,10 +192,22 @@ pub struct Recovery {
 /// its WAL suffix in generation order (truncating torn tails, never
 /// replaying past damage) → older snapshots → nothing.
 ///
+/// The caller owns the state: `open` turns a loaded snapshot into it,
+/// and `step` applies one WAL record (a batch's ops text) to it,
+/// returning how many ops the record held. The server passes the
+/// engine session's constructor and its `/update` apply, so a replayed
+/// batch runs exactly the code a live one ran. A snapshot `open`
+/// rejects is skipped like a damaged one; a record `step` rejects ends
+/// the replay at the last consistent prefix.
+///
 /// # Errors
 /// Only environmental failures (the directory unreadable). Damaged
 /// files are ladder steps, not errors.
-pub fn recover(dir: &Path) -> Result<Recovery, StoreError> {
+pub fn recover<S>(
+    dir: &Path,
+    mut open: impl FnMut(LoadedSnapshot) -> Result<S, StoreError>,
+    mut step: impl FnMut(&mut S, &str) -> Result<u64, StoreError>,
+) -> Result<Recovery<S>, StoreError> {
     let snapshots = list_snapshots(dir)?;
     let wals = list_wals(dir)?;
     let max_seen = snapshots.iter().chain(wals.iter()).map(|&(g, _)| g).max();
@@ -240,8 +217,18 @@ pub fn recover(dir: &Path) -> Result<Recovery, StoreError> {
     };
 
     for &(generation, ref path) in snapshots.iter().rev() {
-        let loaded = match load_snapshot(path) {
-            Ok(l) => l,
+        let opened = load_snapshot(path).and_then(|loaded| {
+            let note = format!(
+                "loaded snapshot gen {generation} ({} tuples, epoch {})",
+                loaded.info.total_tuples, loaded.info.epoch
+            );
+            open(loaded).map(|state| (state, note))
+        });
+        let mut state = match opened {
+            Ok((state, note)) => {
+                report.notes.push(note);
+                state
+            }
             Err(e) => {
                 report
                     .notes
@@ -252,12 +239,6 @@ pub fn recover(dir: &Path) -> Result<Recovery, StoreError> {
         };
         report.source = "snapshot".into();
         report.snapshot_generation = Some(generation);
-        report.notes.push(format!(
-            "loaded snapshot gen {generation} ({} tuples, epoch {})",
-            loaded.info.total_tuples, loaded.info.epoch
-        ));
-        let mut db = loaded.db;
-        let mut enc = loaded.enc;
 
         let mut chain_broken = false;
         for &(wal_gen, ref wal_file) in wals.iter().filter(|&&(g, _)| g >= generation) {
@@ -284,7 +265,7 @@ pub fn recover(dir: &Path) -> Result<Recovery, StoreError> {
                 }
             };
             for (i, record) in scan.records.iter().enumerate() {
-                match apply_batch_mirrored(&mut db, &mut enc, record) {
+                match step(&mut state, record) {
                     Ok(ops) => {
                         report.wal_batches_replayed += 1;
                         report.wal_ops_replayed += ops;
@@ -318,7 +299,7 @@ pub fn recover(dir: &Path) -> Result<Recovery, StoreError> {
             report.source = "snapshot+wal".into();
         }
         return Ok(Recovery {
-            state: Some((db, enc)),
+            state: Some(state),
             next_generation: max_seen.map_or(0, |g| g + 1),
             report,
         });

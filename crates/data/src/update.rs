@@ -4,7 +4,7 @@
 //! curators also ingest data. [`Update`] is the unit of change the
 //! session stack understands: single-tuple inserts/deletes (the paper's
 //! `D ∪ {t}` / `D \ {t}`, now applied for real rather than simulated)
-//! and relation bulk loads. [`crate::EncodedDatabase::apply`] maintains
+//! and relation bulk loads. [`crate::EncodedDatabase::apply_traced`] maintains
 //! the resident encoding under these deltas in place;
 //! `tsens_engine::EngineSession` layers selective cache invalidation on
 //! top.

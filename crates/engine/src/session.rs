@@ -35,7 +35,8 @@
 //!   that relation changes;
 //! * pass states and cached results die only when a relation in their
 //!   structural fingerprint ([`QueryKey`]) changes;
-//! * `mf(X, R)` statistics die only when `R` changes;
+//! * `mf(X, R)` statistics die only when `R` changes, and a single-row
+//!   write patches `∅` and every set of `R`'s leading columns instead;
 //! * a dictionary **re-sort epoch** (a genuinely new value entered the
 //!   database) additionally drops the lifted-atom cache, whose encoded
 //!   rows would otherwise mix stale code labels into *new* pass
@@ -773,14 +774,13 @@ impl<'a> EngineSession<'a> {
         self.stats.mf_misses.fetch_add(1, Ordering::Relaxed);
         let lifted = self.enc.lifted(rel)?;
         let target = Schema::new(key.1.clone());
-        let positions = lifted.schema().projection_indices(&target);
-        let mf = if positions.iter().all(|&p| p < positions.len()) {
+        let mf = if let Some(k) = leading_columns(lifted.schema(), &key.1) {
             // The set is the leading columns (∅ gives mf(∅, R) = |R|):
             // the sorted rows hold each of its values as one run, so one
             // scan finds the largest run without grouping.
             let (mut max, mut run, mut prev) = (0, 0, None);
             for (row, c) in lifted.iter() {
-                let key = &row[..positions.len()];
+                let key = &row[..k];
                 run = if prev == Some(key) {
                     sat_add(run, c)
                 } else {
@@ -913,41 +913,12 @@ impl<'a> EngineSession<'a> {
         self.apply(Update::BulkLoad { relation, rows }).map(|_| ())
     }
 
-    /// Validate a delta against the catalog without touching anything:
-    /// the request path's "fail before sweeping" guard.
-    fn validate_update(&self, update: &Update) -> Result<(), TsensError> {
-        let rel = update.relation();
-        let count = self.enc.relation_count();
-        if rel >= count {
-            return Err(TsensError::NoSuchRelation {
-                relation: rel,
-                count,
-            });
-        }
-        let arity = self.db.relation(rel).schema().arity();
-        let check = |row: &Row| -> Result<(), TsensError> {
-            if row.len() == arity {
-                Ok(())
-            } else {
-                Err(DataError::ArityMismatch {
-                    expected: arity,
-                    actual: row.len(),
-                }
-                .into())
-            }
-        };
-        match update {
-            Update::Insert { row, .. } | Update::Delete { row, .. } => check(row),
-            Update::BulkLoad { rows, .. } => rows.iter().try_for_each(check),
-        }
-    }
-
     fn apply_inner(&mut self, update: Update, normalize: bool) -> Result<bool, TsensError> {
-        self.validate_update(&update)?;
+        self.enc.validate(&update)?;
         // No-op deltas must not touch anything: an empty bulk load is
         // vacuously applied, and a delete of an absent row reports
         // `false`. The delete pre-check repeats the encode+search that
-        // `EncodedDatabase::apply` will redo, but that O(log n) double
+        // `EncodedDatabase::apply_traced` will redo, but that O(log n) double
         // lookup is the price of planning maintenance *before* the
         // encoded mutation — planning strips the cache's `Arc`s pinning
         // the relation, so when no snapshot shares it the apply edits
@@ -1013,7 +984,7 @@ impl<'a> EngineSession<'a> {
     /// Phase 1 of an update: classify every cache entry fingerprinted on
     /// `rel` **before** the encoded mutation. Entries that cannot be
     /// repaired or proven untouched are dropped here (they must not pin
-    /// the resident relation through `EncodedDatabase::apply`); repair
+    /// the resident relation through `EncodedDatabase::apply_traced`); repair
     /// candidates are pulled out of the map with their resident Arcs
     /// stripped, to be repaired or dropped in
     /// [`EngineSession::finish_maintenance`].
@@ -1192,17 +1163,17 @@ impl<'a> EngineSession<'a> {
                 .fetch_add((n - results.len()) as u64, Ordering::Relaxed);
         }
 
-        // mf statistics: mf(∅,R) = |R| moves by exactly ±1; mf over the
-        // full schema is the max row multiplicity, which the delta row's
-        // post-count either determines (insert) or provably leaves alone
-        // (delete of a row strictly below the max). Partial attribute
-        // sets would need a re-group — drop those.
+        // mf statistics: mf(∅,R) = |R| moves by exactly ±1. A set that
+        // is the relation's leading columns (the full schema among them)
+        // takes its max over runs of sorted rows sharing a prefix, and a
+        // single-row delta moves only the delta row's run: an insert
+        // raises the max to at least the new run, and a delete leaves
+        // it alone iff the run sat strictly below the max. Other sets
+        // would need a re-group — drop those.
         let mf = self.mf.get_mut().expect("mf cache poisoned");
         if mf.is_empty() {
             return;
         }
-        let mut full: Vec<AttrId> = schema_attrs_sorted(self.db.relation(rel).schema());
-        full.dedup();
         let lifted = Arc::clone(self.enc.lifted(rel).expect("updated relation exists"));
         let keys: Vec<(usize, Vec<AttrId>)> =
             mf.keys().filter(|(r, _)| *r == rel).cloned().collect();
@@ -1211,8 +1182,8 @@ impl<'a> EngineSession<'a> {
         for key in keys {
             let patched = delta.repairable() && delta.rows.len() == 1 && {
                 let (codes, dcount) = &delta.rows[0];
+                let v = mf.get_mut(&key).expect("key just listed");
                 if key.1.is_empty() {
-                    let v = mf.get_mut(&key).expect("key just listed");
                     match checked_count(*v).and_then(|c| c.checked_add(*dcount as i128)) {
                         Some(next) if next >= 0 => {
                             *v = next as Count;
@@ -1220,16 +1191,17 @@ impl<'a> EngineSession<'a> {
                         }
                         _ => false,
                     }
-                } else if key.1 == full && !delta.epoch {
-                    let after = lifted.find_row(codes).map(|i| lifted.count(i)).unwrap_or(0);
-                    let v = mf.get_mut(&key).expect("key just listed");
-                    if *dcount > 0 {
-                        *v = (*v).max(after);
-                        true
-                    } else {
-                        // Unchanged iff the deleted row's old count sat
-                        // strictly below the max.
-                        after + 1 < *v
+                } else if let Some(k) = leading_columns(lifted.schema(), &key.1) {
+                    // The delta's codes address the lift only while no
+                    // epoch has relabeled them.
+                    !delta.epoch && {
+                        let run = prefix_run(&lifted, &codes[..k]);
+                        if *dcount > 0 {
+                            *v = (*v).max(run);
+                            true
+                        } else {
+                            run + 1 < *v
+                        }
                     }
                 } else {
                     false
@@ -1411,7 +1383,7 @@ fn classify_for_repair(
 
 /// Shared stand-in `Arc` swapped into a repair candidate's stripped
 /// slots so the candidate stops pinning the resident relation across
-/// `EncodedDatabase::apply` (letting it edit in place). Its
+/// `EncodedDatabase::apply_traced` (letting it edit in place). Its
 /// empty schema is fine because the placeholder is never read —
 /// [`crate::maintain::repair_entry`] re-points both slots before any
 /// access, and a fallback drops the entry whole.
@@ -1427,12 +1399,40 @@ fn checked_count(c: Count) -> Option<i128> {
     (c <= i128::MAX as u128).then_some(c as i128)
 }
 
-/// Sorted attribute list of `schema`, matching the `mf` cache's
-/// canonical key form.
-fn schema_attrs_sorted(schema: &Schema) -> Vec<AttrId> {
-    let mut attrs = schema.attrs().to_vec();
-    attrs.sort_unstable();
+/// `Some(k)` when the distinct attribute set `attrs` is exactly the
+/// first `k = attrs.len()` columns of `schema` (in any order), else
+/// `None`. A grouped relation holds each value of such a set as one run
+/// of consecutive rows.
+fn leading_columns(schema: &Schema, attrs: &[AttrId]) -> Option<usize> {
+    let k = attrs.len();
     attrs
+        .iter()
+        .all(|&a| schema.position(a).is_some_and(|p| p < k))
+        .then_some(k)
+}
+
+/// Total count of the rows of grouped `rel` whose leading codes equal
+/// `prefix`: one run of consecutive rows, bounded by binary search.
+fn prefix_run(rel: &EncodedRelation, prefix: &[u32]) -> Count {
+    let k = prefix.len();
+    // `bound(false)`: the first row whose prefix is ≥ `prefix`;
+    // `bound(true)`: the first whose prefix is > it.
+    let bound = |past: bool| {
+        let (mut lo, mut hi) = (0usize, rel.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            let key = &rel.row(mid)[..k];
+            if key < prefix || (past && key == prefix) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    };
+    (bound(false)..bound(true))
+        .map(|i| rel.count(i))
+        .fold(0, sat_add)
 }
 
 /// Apply a `±dcount` single-row delta to a cached predicated lift whose

@@ -2,48 +2,33 @@
 //! primitive.
 //!
 //! A [`SnapshotCell`] holds the current [`EngineSession`] behind an
-//! `Arc` and lets any number of readers pin it without ever blocking on
-//! a writer. Writers fork the session copy-on-write ([`EngineSession::
+//! `Arc` and lets any number of readers pin it without ever waiting for
+//! a writer's work. Writers fork the session copy-on-write ([`EngineSession::
 //! fork`]), apply their delta off to the side, and publish the result
-//! with a single atomic pointer-index store; readers that pinned the old
-//! snapshot keep computing against it undisturbed, and the old rows are
-//! freed when the last pinned `Arc` drops.
+//! with one pointer swap; readers that pinned the old snapshot keep
+//! computing against it undisturbed, and the old rows are freed when
+//! the last pinned `Arc` drops.
 //!
-//! ## Why not a plain `RwLock`
+//! ## One lock, held for a pointer
 //!
-//! Under a `RwLock<EngineSession>` a bulk update holds the write lock
-//! for its whole duration — milliseconds for a large delta — and every
-//! reader queues behind it. Here the writer's work happens against a
-//! private fork, so the only shared-state window is the publish itself.
+//! The current snapshot lives in one `Mutex<Arc<EngineSession>>`. The
+//! lock guards a pointer, never a session: [`SnapshotCell::load`] holds
+//! it for one `Arc` clone (a reference-count bump, nanoseconds), and a
+//! publish holds it for one pointer swap. All of a writer's work —
+//! fork, apply, WAL append — runs in a separate writer lane before the
+//! swap, so a reader waits at most for another pointer operation,
+//! never for an update. A reader that loads just before a swap gets the
+//! previous snapshot, which is exactly MVCC semantics.
 //!
-//! ## How the hand-rolled swap stays safe without `unsafe`
-//!
-//! A true lock-free `ArcSwap` needs hazard pointers or deferred
-//! reclamation. We get the same *observable* behaviour from safe parts:
-//!
-//! * a small ring of `Mutex<Arc<EngineSession>>` **slots**, and
-//! * an `AtomicUsize` index naming the **current** slot.
-//!
-//! [`SnapshotCell::load`] reads the index (`Acquire`), locks that one
-//! slot just long enough to clone the `Arc` (a reference-count bump,
-//! nanoseconds), and returns the clone. [`SnapshotCell::update`] runs
-//! the whole fork → apply in a writer lane *without touching any slot*,
-//! then installs the new `Arc` into the **next** slot over and stores
-//! the index (`Release`). Readers therefore only ever contend on a slot
-//! mutex with other readers' ref-count bumps — never with update work —
-//! and a reader that raced the index store simply gets the previous
-//! snapshot, which is exactly MVCC semantics. With `SLOTS` ≥ 2 the slot
-//! being rewritten is never the one readers are directed at.
+//! The session a publish replaces is dropped after the lock is
+//! released, so freeing its rows never delays a reader. Only the
+//! current snapshot is kept alive by the cell; older ones live exactly
+//! as long as some reader pins them.
 
 use crate::session::EngineSession;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use tsens_data::TsensError;
-
-/// Number of publish slots. Two suffices for correctness (writer writes
-/// slot `i+1` while readers load slot `i`); a couple more keeps a slow
-/// reader's clone from ever overlapping a fast writer burst.
-const SLOTS: usize = 4;
 
 /// Observer invoked after every publish, still inside the writer lane —
 /// no other publish can interleave, so what it sees is exactly the
@@ -53,9 +38,8 @@ pub type PublishHook = Box<dyn Fn(u64, &Arc<EngineSession<'static>>) + Send + Sy
 
 /// A published, pinnable [`EngineSession`] — see the module docs.
 pub struct SnapshotCell {
-    slots: [Mutex<Arc<EngineSession<'static>>>; SLOTS],
-    /// Index of the slot holding the current snapshot.
-    current: AtomicUsize,
+    /// The current snapshot. Held only to clone or swap the pointer.
+    current: Mutex<Arc<EngineSession<'static>>>,
     /// Serializes writers: fork → apply → publish is exclusive, so a
     /// fork always starts from the latest published state.
     writer: Mutex<()>,
@@ -69,10 +53,8 @@ pub struct SnapshotCell {
 impl SnapshotCell {
     /// Publish `session` as version 0.
     pub fn new(session: EngineSession<'static>) -> Self {
-        let initial = Arc::new(session);
         SnapshotCell {
-            slots: std::array::from_fn(|_| Mutex::new(Arc::clone(&initial))),
-            current: AtomicUsize::new(0),
+            current: Mutex::new(Arc::new(session)),
             writer: Mutex::new(()),
             version: AtomicU64::new(0),
             hook: Mutex::new(None),
@@ -81,7 +63,7 @@ impl SnapshotCell {
 
     /// Install the post-publish observer (replacing any previous one).
     /// Called with `(new_version, just-published session)` after every
-    /// [`SnapshotCell::update`] and [`SnapshotCell::replace`].
+    /// successful [`SnapshotCell::update`].
     pub fn set_publish_hook(&self, hook: PublishHook) {
         *self.hook.lock().unwrap_or_else(|p| p.into_inner()) = Some(hook);
     }
@@ -93,12 +75,11 @@ impl SnapshotCell {
         }
     }
 
-    /// Pin the current snapshot. Never blocks on a writer: the slot
-    /// mutex is held only for the `Arc` clone, and writers prepare their
-    /// snapshot entirely outside the slots.
+    /// Pin the current snapshot. Never waits for a writer's work: the
+    /// lock is held only for the `Arc` clone, and a publish holds it
+    /// only for the pointer swap.
     pub fn load(&self) -> Arc<EngineSession<'static>> {
-        let idx = self.current.load(Ordering::Acquire);
-        Arc::clone(&self.lock_slot(idx))
+        Arc::clone(&self.lock_current())
     }
 
     /// How many publishes have happened (0 = still the initial session).
@@ -143,36 +124,21 @@ impl SnapshotCell {
         let lane = self.writer.lock().unwrap_or_else(|p| p.into_inner());
         let mut fork = self.load().fork();
         let out = f(&mut fork)?;
-        // Install into the slot *after* the current one so in-flight
-        // loads of the current index never see this store.
-        let cur = self.current.load(Ordering::Relaxed);
-        let next = (cur + 1) % SLOTS;
         let published = Arc::new(fork);
-        *self.lock_slot(next) = Arc::clone(&published);
-        self.current.store(next, Ordering::Release);
+        let replaced = std::mem::replace(&mut *self.lock_current(), Arc::clone(&published));
+        // Dropped outside the lock: freeing the old rows never holds up
+        // a reader's load.
+        drop(replaced);
         let version = self.version.fetch_add(1, Ordering::AcqRel) + 1;
         self.run_hook(version, &published);
         drop(lane);
         Ok((out, version))
     }
 
-    /// Replace the snapshot wholesale (no fork): the recovery path for
-    /// callers that rebuilt a session out-of-band.
-    pub fn replace(&self, session: EngineSession<'static>) {
-        let _lane = self.writer.lock().unwrap_or_else(|p| p.into_inner());
-        let cur = self.current.load(Ordering::Relaxed);
-        let next = (cur + 1) % SLOTS;
-        let published = Arc::new(session);
-        *self.lock_slot(next) = Arc::clone(&published);
-        self.current.store(next, Ordering::Release);
-        let version = self.version.fetch_add(1, Ordering::AcqRel) + 1;
-        self.run_hook(version, &published);
-    }
-
-    fn lock_slot(&self, idx: usize) -> MutexGuard<'_, Arc<EngineSession<'static>>> {
+    fn lock_current(&self) -> MutexGuard<'_, Arc<EngineSession<'static>>> {
         // An Arc is poison-tolerant: a panic while holding the guard
         // can't leave the Arc itself torn.
-        self.slots[idx].lock().unwrap_or_else(|p| p.into_inner())
+        self.current.lock().unwrap_or_else(|p| p.into_inner())
     }
 }
 
@@ -180,7 +146,6 @@ impl std::fmt::Debug for SnapshotCell {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SnapshotCell")
             .field("version", &self.version())
-            .field("slots", &SLOTS)
             .finish()
     }
 }
@@ -225,8 +190,8 @@ mod tests {
         for i in 0..10 {
             cell.update(|s| s.insert(0, row(i))).unwrap();
         }
-        // The pin still sees version 0's rows even though publishes
-        // lapped the slot ring.
+        // The pin still sees version 0's rows after ten publishes
+        // replaced the cell's pointer.
         assert_eq!(pinned.database().total_tuples(), 1);
         assert_eq!(cell.load().database().total_tuples(), 11);
         assert_eq!(cell.version(), 10);
@@ -319,17 +284,6 @@ mod tests {
     }
 
     #[test]
-    fn replace_swaps_wholesale() {
-        let cell = SnapshotCell::new(EngineSession::owned(tiny_db()));
-        let mut db = tiny_db();
-        let idx = db.relation_index("R").unwrap();
-        db.insert_row(idx, row(5));
-        cell.replace(EngineSession::owned(db));
-        assert_eq!(cell.version(), 1);
-        assert_eq!(cell.load().database().total_tuples(), 2);
-    }
-
-    #[test]
     fn publish_hook_sees_every_publish_in_order() {
         let cell = SnapshotCell::new(EngineSession::owned(tiny_db()));
         let seen: Arc<Mutex<Vec<(u64, usize)>>> = Arc::new(Mutex::new(Vec::new()));
@@ -342,10 +296,10 @@ mod tests {
         cell.update(|s| s.insert(0, row(2))).unwrap();
         cell.update(|s| s.insert(0, row(3))).unwrap();
         let _ = cell.update(|s| s.insert(99, row(4))); // fails: no publish
-        cell.replace(EngineSession::owned(tiny_db()));
+        cell.update(|s| s.delete(0, row(2)).map(|_| ())).unwrap();
         assert_eq!(
             *seen.lock().unwrap(),
-            vec![(1, 2), (2, 3), (3, 1)],
+            vec![(1, 2), (2, 3), (3, 2)],
             "hook fires per successful publish with the live state"
         );
     }

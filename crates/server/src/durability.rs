@@ -25,12 +25,25 @@
 //! session `Arc` to a background thread that writes `snapshot-(g+1)`
 //! and retires old generations. Readers and writers never wait on the
 //! snapshot write.
+//!
+//! # Recovery
+//!
+//! Boot walks [`store::recover`]'s ladder with an [`EngineSession`] as
+//! its state. A loaded snapshot opens through
+//! [`EngineSession::from_encoded`], and each WAL record replays through
+//! `replay_batch`: the same parse and `apply_all_diagnosed` call that
+//! `/update` made when it accepted the batch. A replayed write
+//! therefore runs the live write path, catalog mirror and all, and a
+//! record that fails names its op the way the `/update` 400 does.
 
 use crate::http::json_escape;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use tsens_data::store::{self, FsyncPolicy, RecoveryReport, Store, StoreError, DEFAULT_WAL_LIMIT};
+use tsens_data::io::parse_ops_indexed;
+use tsens_data::store::{
+    self, FsyncPolicy, Recovery, RecoveryReport, Store, StoreError, DEFAULT_WAL_LIMIT,
+};
 use tsens_data::Database;
 use tsens_engine::EngineSession;
 
@@ -82,11 +95,10 @@ impl Durability {
         fallback: impl FnOnce() -> Database,
     ) -> Result<(EngineSession<'static>, Durability), StoreError> {
         std::fs::create_dir_all(&config.dir)?;
-        let recovery = store::recover(&config.dir)?;
+        let recovery = recover(&config.dir)?;
         let mut report = recovery.report;
         let session = match recovery.state {
-            Some((db, enc)) => EngineSession::from_encoded(db, enc)
-                .map_err(|e| StoreError::Corrupt(format!("recovered state rejected: {e}")))?,
+            Some(session) => session,
             None => {
                 report
                     .notes
@@ -245,4 +257,42 @@ impl Durability {
             r.snapshots_skipped.len(),
         )
     }
+}
+
+/// Walk the recovery ladder over `dir` ([`store::recover`]) with the
+/// engine session as the recovered state: each snapshot opens through
+/// [`EngineSession::from_encoded`], and each WAL record replays through
+/// the apply `/update` runs.
+///
+/// # Errors
+/// Environmental failures only; damaged files are ladder steps.
+pub fn recover(dir: &Path) -> Result<Recovery<EngineSession<'static>>, StoreError> {
+    store::recover(
+        dir,
+        |loaded| {
+            EngineSession::from_encoded(loaded.db, loaded.enc)
+                .map_err(|e| StoreError::Corrupt(format!("recovered state rejected: {e}")))
+        },
+        replay_batch,
+    )
+}
+
+/// Apply one WAL record (a batch's ops text) to `session` exactly as
+/// `/update` applied it: parse against the session's catalog, then
+/// [`EngineSession::apply_all_diagnosed`]. Returns the number of parsed
+/// ops, including deletes of absent rows that changed nothing.
+///
+/// # Errors
+/// [`StoreError::Corrupt`] naming the failing op as `/update` does
+/// (`op #i (line N: "…")`). Ops before it stay applied; recovery stops
+/// replaying there.
+fn replay_batch(session: &mut EngineSession<'static>, text: &str) -> Result<u64, StoreError> {
+    let ops = parse_ops_indexed(session.database(), text)
+        .map_err(|e| StoreError::Corrupt(format!("batch parse: {e}")))?;
+    let total = ops.len() as u64;
+    let located: Vec<String> = ops.iter().map(|o| o.locate()).collect();
+    session
+        .apply_all_diagnosed(ops.into_iter().map(|o| o.update))
+        .map_err(|(i, e)| StoreError::Corrupt(format!("op #{i} ({}): {e}", located[i])))?;
+    Ok(total)
 }

@@ -4,12 +4,20 @@
 //! recovery lands on a state equal to some prefix of the accepted
 //! batches, never a torn or reordered mix — and damaged snapshots are
 //! detected, stepping the ladder down instead of serving garbage.
+//!
+//! Recovery runs as the server boots: [`durability::recover`] replays
+//! the WAL through the engine session. A state's fingerprint reads
+//! both the catalog and the decoded encoding, so a replay that left the
+//! two apart fails as surely as one that landed on the wrong prefix.
 
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use tsens_data::io::parse_ops;
 use tsens_data::store::{self, FsyncPolicy, Store};
 use tsens_data::{CountedRelation, Database, EncodedDatabase, Relation, Schema, Value};
+use tsens_engine::EngineSession;
+use tsens_server::durability;
 
 /// Fresh scratch directory per case (no tempfile crate in the tree).
 fn tmpdir(tag: &str) -> PathBuf {
@@ -48,12 +56,37 @@ fn base_db() -> Database {
     db
 }
 
-/// Canonical, order-insensitive view of the whole database — two states
-/// are "the same prefix" iff their fingerprints match.
-fn fingerprint(db: &Database) -> Vec<CountedRelation> {
-    db.iter()
-        .map(|(_, _, rel)| CountedRelation::from_relation(rel))
+/// Canonical, order-insensitive view of a session — two states are
+/// "the same prefix" iff their fingerprints match. It is read from the
+/// catalog and from the encoding decoded through its dictionary, and
+/// the two must agree: a state whose encoding diverged from its catalog
+/// fails here, whichever side holds the truth.
+fn fingerprint(session: &EngineSession<'_>) -> Vec<CountedRelation> {
+    let enc = session.encoded();
+    session
+        .database()
+        .iter()
+        .map(|(i, name, rel)| {
+            let catalog = CountedRelation::from_relation(rel);
+            let mut decoded = enc.lifted(i).unwrap().decode(enc.dict());
+            decoded.sort();
+            assert_eq!(
+                decoded, catalog,
+                "relation {name}: the encoding diverged from the catalog"
+            );
+            catalog
+        })
         .collect()
+}
+
+/// Apply one batch the way a one-shard `/update` does.
+fn apply_batch(session: &mut EngineSession<'static>, text: &str) {
+    let ops = parse_ops(session.database(), text).unwrap();
+    session.apply_all(ops).unwrap();
+}
+
+fn batch_text(batch: &[(u32, u32, u32)]) -> String {
+    batch.iter().map(op_line).collect::<Vec<_>>().join("\n")
 }
 
 /// One generated op: insert or delete of a small-domain row in `R`.
@@ -80,15 +113,22 @@ fn run_batches(
     dir: &Path,
     batches: &[Vec<(u32, u32, u32)>],
 ) -> (PathBuf, Vec<Vec<CountedRelation>>) {
-    let mut db = base_db();
-    let mut enc = EncodedDatabase::new(&db);
-    let mut st = Store::create(dir, FsyncPolicy::Off, u64::MAX, 1, &db, &enc).unwrap();
-    let mut prefixes = vec![fingerprint(&db)];
+    let mut session = EngineSession::owned(base_db());
+    let mut st = Store::create(
+        dir,
+        FsyncPolicy::Off,
+        u64::MAX,
+        1,
+        session.database(),
+        session.encoded(),
+    )
+    .unwrap();
+    let mut prefixes = vec![fingerprint(&session)];
     for batch in batches {
-        let text = batch.iter().map(op_line).collect::<Vec<_>>().join("\n");
-        store::apply_batch_mirrored(&mut db, &mut enc, &text).unwrap();
+        let text = batch_text(batch);
+        apply_batch(&mut session, &text);
         st.append_batch(&text).unwrap();
-        prefixes.push(fingerprint(&db));
+        prefixes.push(fingerprint(&session));
     }
     st.sync().unwrap();
     (store::wal_path(dir, 1), prefixes)
@@ -97,8 +137,8 @@ fn run_batches(
 /// Recover `dir` and assert the restored state equals `prefixes[k]` for
 /// the `k` the report claims — and that `k` is a real prefix index.
 fn assert_recovers_a_prefix(dir: &Path, prefixes: &[Vec<CountedRelation>]) {
-    let recovery = store::recover(dir).unwrap();
-    let (db, _enc) = recovery
+    let recovery = durability::recover(dir).unwrap();
+    let session = recovery
         .state
         .expect("the snapshot was not touched, so recovery must restore state");
     let replayed = recovery.report.wal_batches_replayed as usize;
@@ -108,7 +148,7 @@ fn assert_recovers_a_prefix(dir: &Path, prefixes: &[Vec<CountedRelation>]) {
         prefixes.len() - 1
     );
     assert_eq!(
-        fingerprint(&db),
+        fingerprint(&session),
         prefixes[replayed],
         "recovered state is not the claimed prefix (k = {replayed}); \
          notes: {:?}",
@@ -170,7 +210,7 @@ proptest! {
         let idx = (bytes.len() - 1) * at / 1000;
         bytes[idx] ^= 1 << bit;
         std::fs::write(&path, &bytes).unwrap();
-        let recovery = store::recover(&dir).unwrap();
+        let recovery = durability::recover(&dir).unwrap();
         prop_assert!(
             recovery.state.is_none(),
             "a corrupt snapshot loaded anyway; notes: {:?}",
@@ -186,15 +226,15 @@ proptest! {
     #[test]
     fn snapshot_roundtrip_is_lossless(batches in batches_strategy()) {
         let dir = tmpdir("roundtrip");
-        let mut db = base_db();
-        let mut enc = EncodedDatabase::new(&db);
+        let mut session = EngineSession::owned(base_db());
         for batch in &batches {
-            let text = batch.iter().map(op_line).collect::<Vec<_>>().join("\n");
-            store::apply_batch_mirrored(&mut db, &mut enc, &text).unwrap();
+            apply_batch(&mut session, &batch_text(batch));
         }
-        let path = store::save_snapshot(&dir, 7, &db, &enc).unwrap();
+        let (db, enc) = (session.database(), session.encoded());
+        let path = store::save_snapshot(&dir, 7, db, enc).unwrap();
         let loaded = store::load_snapshot(&path).unwrap();
-        prop_assert_eq!(fingerprint(&loaded.db), fingerprint(&db));
+        let reopened = EngineSession::from_encoded(loaded.db.clone(), loaded.enc.clone()).unwrap();
+        prop_assert_eq!(fingerprint(&reopened), fingerprint(&session));
         prop_assert_eq!(loaded.enc.epoch(), enc.epoch());
         prop_assert_eq!(loaded.enc.relation_count(), enc.relation_count());
         for i in 0..enc.relation_count() {
@@ -215,22 +255,29 @@ proptest! {
 #[test]
 fn damaged_newest_snapshot_falls_back_and_replays_both_wals() {
     let dir = tmpdir("ladder");
-    let mut db = base_db();
-    let mut enc = EncodedDatabase::new(&db);
-    let mut st = Store::create(&dir, FsyncPolicy::Always, u64::MAX, 1, &db, &enc).unwrap();
+    let mut session = EngineSession::owned(base_db());
+    let mut st = Store::create(
+        &dir,
+        FsyncPolicy::Always,
+        u64::MAX,
+        1,
+        session.database(),
+        session.encoded(),
+    )
+    .unwrap();
 
-    store::apply_batch_mirrored(&mut db, &mut enc, "+,R,7,s7").unwrap();
+    apply_batch(&mut session, "+,R,7,s7");
     st.append_batch("+,R,7,s7").unwrap();
 
     // Checkpoint: roll to gen 2 and write its snapshot.
     let gen2 = st.roll_wal().unwrap();
     assert_eq!(gen2, 2);
-    store::save_snapshot(&dir, 2, &db, &enc).unwrap();
+    store::save_snapshot(&dir, 2, session.database(), session.encoded()).unwrap();
     st.checkpoint_done().unwrap();
 
-    store::apply_batch_mirrored(&mut db, &mut enc, "+,R,8,s8").unwrap();
+    apply_batch(&mut session, "+,R,8,s8");
     st.append_batch("+,R,8,s8").unwrap();
-    let final_state = fingerprint(&db);
+    let final_state = fingerprint(&session);
     drop(st);
 
     // Damage the gen-2 snapshot.
@@ -240,13 +287,13 @@ fn damaged_newest_snapshot_falls_back_and_replays_both_wals() {
     bytes[mid] ^= 0xFF;
     std::fs::write(&snap2, &bytes).unwrap();
 
-    let recovery = store::recover(&dir).unwrap();
-    let (rdb, _) = recovery.state.expect("gen-1 snapshot must still load");
+    let recovery = durability::recover(&dir).unwrap();
+    let recovered = recovery.state.expect("gen-1 snapshot must still load");
     assert_eq!(recovery.report.snapshot_generation, Some(1));
     assert_eq!(recovery.report.source, "snapshot+wal");
     assert_eq!(recovery.report.wal_batches_replayed, 2);
     assert_eq!(
-        fingerprint(&rdb),
+        fingerprint(&recovered),
         final_state,
         "fallback + both WAL generations must reproduce the final state"
     );
@@ -262,7 +309,7 @@ fn next_generation_is_past_everything_seen() {
     let enc = EncodedDatabase::new(&db);
     let st = Store::create(&dir, FsyncPolicy::Off, u64::MAX, 4, &db, &enc).unwrap();
     drop(st);
-    let recovery = store::recover(&dir).unwrap();
+    let recovery = durability::recover(&dir).unwrap();
     assert_eq!(recovery.next_generation, 5);
     std::fs::remove_dir_all(&dir).unwrap();
 }
