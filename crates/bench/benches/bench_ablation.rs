@@ -173,6 +173,27 @@ fn bench_parallel(c: &mut Criterion) {
     group.finish();
 }
 
+/// The pool's own per-call cost: `Pool::run(n, |i| i)`, whose tasks do
+/// no work, at the default pool (`pool/run_trivial/{n}`) and on the
+/// in-order sequential loop (`pool/run_trivial_seq/{n}`). The gap is
+/// what every pooled fan-out of cache hits (a warm sharded read) pays
+/// for publishing its job to the shared helpers.
+fn bench_pool(c: &mut Criterion) {
+    let mut group = c.benchmark_group("pool");
+    group.sample_size(if quick() { 15 } else { 20 });
+    for (pool, name) in [
+        (Pool::default(), "run_trivial"),
+        (Pool::sequential(), "run_trivial_seq"),
+    ] {
+        for n in [2usize, 8] {
+            group.bench_function(BenchmarkId::new(name, n), |b| {
+                b.iter(|| black_box(pool.run(black_box(n), |i| i)))
+            });
+        }
+    }
+    group.finish();
+}
+
 fn bench_topk(c: &mut Criterion) {
     let db = facebook::facebook_database(small_params(), 348);
     let (qw, tree) = facebook::qw(&db).unwrap();
@@ -749,6 +770,7 @@ criterion_group!(
     bench_path_vs_general,
     bench_hash_join_encoding,
     bench_parallel,
+    bench_pool,
     bench_topk,
     bench_vs_naive,
     bench_session,

@@ -71,8 +71,8 @@ pub fn bag_relations_from_arcs_pooled(
 /// in place, so leaf-heavy trees never copy a bag.
 ///
 /// Eqn 7 only couples a bag to its children, so all bags of equal height
-/// are independent: each level fans out across `pool`, and the pool's
-/// scope join is the barrier that upholds post-order. Bags of a level
+/// are independent: each level fans out across `pool`, and the return
+/// of [`Pool::run`] is the barrier that upholds post-order. Bags of a level
 /// that really runs in parallel add one each to `tasks`.
 pub fn botjoin_pass_enc_pooled(
     tree: &DecompositionTree,

@@ -11,9 +11,10 @@
 //! * the ⊤ pass (pre-order, Eqn 8) needs the parent finished before any
 //!   child starts → schedule by **depth** (root first).
 //!
-//! Each level fans out across the pool; a barrier between levels (the
-//! pool joins its scoped workers per [`Pool::run`] call) upholds the
-//! dependency order. For the bushy trees GHDs produce this exposes all
+//! Each level fans out across the pool; the barrier between levels is
+//! the return of [`Pool::run`], which comes only after every bag of the
+//! level is done and no helper still holds the level's job, so the
+//! dependency order holds. For the bushy trees GHDs produce this exposes all
 //! available per-bag parallelism; for a path-shaped tree every level has
 //! one bag and the schedule degenerates to the sequential order.
 

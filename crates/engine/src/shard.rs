@@ -81,7 +81,8 @@ impl ShardedEngine {
     /// session runs on the default pool — byte-for-byte the unsharded
     /// engine. With more shards each shard session is sequential (the
     /// shards *are* the parallelism) and the default pool drives the
-    /// scatter.
+    /// scatter: the calling request thread claims shards itself next to
+    /// the process-wide pool helpers, so a scatter spawns no thread.
     ///
     /// # Errors
     /// [`validate_shard_count`] failures.

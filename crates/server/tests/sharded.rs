@@ -6,8 +6,17 @@
 
 use std::collections::BTreeSet;
 use std::net::TcpListener;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use tsens_data::{Database, Relation, Schema, Value};
-use tsens_server::{client, Server, ServerState};
+use tsens_server::{client, Client, Server, ServerState};
+
+/// The tests of this binary run one at a time: the thread-count test
+/// reads the whole process's threads, which another test's server
+/// would move.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// `Follow(U,V)` and `Like(U,P)`, both keyed on `U` at column 0 — the
 /// default first-column spec co-partitions them, so `Follow ⋈ Like` is
@@ -71,6 +80,7 @@ fn get(addr: std::net::SocketAddr, path: &str) -> (u16, String) {
 
 #[test]
 fn sharded_answers_match_single_shard_ground_truth() {
+    let _serial = serial();
     let (truth_srv, truth) = start(1);
     let (sharded_srv, sharded) = start(4);
 
@@ -161,6 +171,7 @@ fn update_and_stats(shards: usize) -> (Vec<(u16, String)>, String, String) {
 
 #[test]
 fn updates_route_per_shard_and_requery_matches() {
+    let _serial = serial();
     let (truth, truth_ack, truth_stats) = update_and_stats(1);
     assert!(
         truth[3].1.starts_with("{\"ok\":true,\"count\":2,"),
@@ -191,4 +202,36 @@ fn updates_route_per_shard_and_requery_matches() {
         assert_eq!(key_set(&ack), ack_keys, "{ack}\nvs\n{truth_ack}");
         assert_eq!(key_set(&stats), stats_keys, "{stats}\nvs\n{truth_stats}");
     }
+}
+
+/// Threads of this process, from `/proc/self/task`.
+#[cfg(target_os = "linux")]
+fn thread_count() -> usize {
+    std::fs::read_dir("/proc/self/task")
+        .expect("procfs lists this process's threads")
+        .count()
+}
+
+/// Hot 2-shard reads reuse the pool's helpers: after a warm-up read the
+/// process's thread count stays put across 10⁴ served reads, so no
+/// request leaves a helper (or any other thread) behind.
+#[test]
+#[cfg(target_os = "linux")]
+fn hot_sharded_reads_start_no_threads() {
+    let _serial = serial();
+    let (srv, addr) = start(2);
+    let mut client = Client::new(addr).expect("connect");
+    let read = |client: &mut Client, user: usize| {
+        let q = format!("op=count\ndb=social\njoin=Follow\nwhere=Follow.U={user}");
+        let (status, body) = client.request("POST", "/query", &q).expect("read");
+        assert_eq!(status, 200, "{body}");
+    };
+    read(&mut client, 0);
+    let before = thread_count();
+    for i in 0..10_000 {
+        read(&mut client, i % 13);
+    }
+    assert_eq!(thread_count(), before, "threads grew across hot reads");
+    drop(client);
+    srv.stop();
 }
