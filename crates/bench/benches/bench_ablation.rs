@@ -552,8 +552,9 @@ fn bench_serving(c: &mut Criterion) {
 /// The pinned reader makes every publish share the touched relation and
 /// its pass entry with the fork, which is the server's steady state.
 /// `R(A,B)` has `n` distinct rows joined to a fixed 2000-row `S(B,C)`.
-/// `Value` rows and pass states are copied O(chunk) and O(Δ); the one
-/// remaining O(n) step is the flat `memcpy` of `R`'s encoded relation.
+/// Pass states are copied O(Δ) and the session holds no `Value` rows;
+/// the one remaining O(n) step is the flat `memcpy` of `R`'s encoded
+/// relation.
 fn bench_publish_requery(c: &mut Criterion) {
     let mut group = c.benchmark_group("serving");
     group.sample_size(if quick() { 15 } else { 20 });
@@ -610,7 +611,7 @@ fn bench_durability(c: &mut Criterion) {
     use tsens_data::store::{self, FsyncPolicy, Wal};
 
     let db = facebook::facebook_database(small_params(), 348);
-    let session = EngineSession::owned(db);
+    let session = EngineSession::new(&db);
     let dir = std::env::temp_dir().join(format!("tsens-bench-durability-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
@@ -627,10 +628,10 @@ fn bench_durability(c: &mut Criterion) {
     // can serve (both paths read page-cache-warm files here).
     let csv_dir = dir.join("csv");
     std::fs::create_dir_all(&csv_dir).unwrap();
-    let csv_files: Vec<std::path::PathBuf> = (0..session.database().relation_count())
+    let csv_files: Vec<std::path::PathBuf> = (0..db.relation_count())
         .map(|i| {
-            let file = csv_dir.join(format!("{}.csv", session.database().relation_name(i)));
-            tsens_data::io::write_csv(session.database(), i, &file).unwrap();
+            let file = csv_dir.join(format!("{}.csv", db.relation_name(i)));
+            tsens_data::io::write_csv(&db, i, &file).unwrap();
             file
         })
         .collect();

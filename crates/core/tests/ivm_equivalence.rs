@@ -87,13 +87,22 @@ type Step = (usize, usize, Vec<i64>);
 /// are guaranteed to mint new dictionary values.
 const NEW_VALUE_OFFSET: i64 = 1_000;
 
+/// Compare the warm session against a fresh session over `model`, the
+/// database the same updates were applied to independently.
 fn assert_answers_match(
     warm: &mut EngineSession<'static>,
+    model: &Database,
     q: &ConjunctiveQuery,
     tree: &DecompositionTree,
     label: &str,
 ) {
-    let fresh = EngineSession::new(warm.database());
+    let fresh = EngineSession::new(model);
+    prop_assert_eq!(
+        warm.database().total_tuples(),
+        model.total_tuples(),
+        "catalog tuple count ({})",
+        label
+    );
     let plan = plan_order_from_tree(tree);
 
     prop_assert_eq!(
@@ -136,9 +145,10 @@ fn assert_maintained_equivalent(
     steps: &[Step],
 ) {
     let mut warm = EngineSession::owned(db.clone());
+    let mut model = db.clone();
     // Warm every cache layer before the first delta so each step
     // exercises repair-of-repaired state, not a cold rebuild.
-    assert_answers_match(&mut warm, q, tree, "initial");
+    assert_answers_match(&mut warm, &model, q, tree, "initial");
 
     for (i, (kind, rel, raw_row)) in steps.iter().enumerate() {
         let rel = rel % warm.database().relation_count();
@@ -149,27 +159,27 @@ fn assert_maintained_equivalent(
             .collect();
         match kind % 5 {
             0 => {
-                warm.insert(rel, row).unwrap();
+                warm.insert(rel, row.clone()).unwrap();
+                model.insert_row(rel, row);
             }
             1 => {
-                warm.insert(rel, shifted).unwrap();
+                warm.insert(rel, shifted.clone()).unwrap();
+                model.insert_row(rel, shifted);
             }
             2 => {
-                warm.delete(rel, row).unwrap();
+                let removed = warm.delete(rel, row.clone()).unwrap();
+                prop_assert_eq!(removed, model.remove_row(rel, &row), "step {}", i);
             }
             3 => {
-                warm.apply_all(vec![
-                    Update::Insert {
-                        relation: rel,
-                        row: row.clone(),
-                    },
-                    Update::Insert {
-                        relation: rel,
-                        row: shifted,
-                    },
-                    Update::Insert { relation: rel, row },
-                ])
-                .unwrap();
+                let batch = vec![
+                    Update::insert(rel, row.clone()),
+                    Update::insert(rel, shifted),
+                    Update::insert(rel, row),
+                ];
+                for update in &batch {
+                    model.apply(update);
+                }
+                warm.apply_all(batch).unwrap();
             }
             _ => {
                 warm.insert(rel, row.clone()).unwrap();
@@ -177,7 +187,7 @@ fn assert_maintained_equivalent(
                 prop_assert!(removed, "the row was just inserted (step {})", i);
             }
         }
-        assert_answers_match(&mut warm, q, tree, &format!("after step {i}"));
+        assert_answers_match(&mut warm, &model, q, tree, &format!("after step {i}"));
     }
 }
 

@@ -283,15 +283,16 @@ fn untouched_queries_keep_hitting_caches_across_updates() {
     let t_r2 = gyo_decompose(&q_r2).unwrap().expect_acyclic("single");
 
     let mut session = EngineSession::new(&db);
-    let all_before = session.tsens(&q_all, &t_all).unwrap();
+    let mut model = db.clone();
+    session.tsens(&q_all, &t_all).unwrap();
     let r2_report = session.tsens(&q_r2, &t_r2).unwrap();
     let misses_frozen = session.stats().result_misses;
 
     // 10 single-tuple updates to R0 — R2's caches must survive them all.
     for i in 0..10i64 {
-        session
-            .insert(0, vec![value(i % 4), value((i + 1) % 4)])
-            .unwrap();
+        let row = vec![value(i % 4), value((i + 1) % 4)];
+        session.insert(0, row.clone()).unwrap();
+        model.insert_row(0, row);
         let again = session.tsens(&q_r2, &t_r2).unwrap();
         assert_eq!(again.local_sensitivity, r2_report.local_sensitivity);
         assert_eq!(again.witness, r2_report.witness);
@@ -304,12 +305,12 @@ fn untouched_queries_keep_hitting_caches_across_updates() {
     assert!(stats.result_hits >= 10, "R2 queries were cache hits");
 
     // The touched query recomputes — against the maintained encoding,
-    // matching a from-scratch run on the materialized database.
+    // matching a from-scratch run on the same updates applied to a
+    // model database.
     let all_after = session.tsens(&q_all, &t_all).unwrap();
-    let fresh = tsens(session.database(), &q_all, &t_all);
+    let fresh = tsens(&model, &q_all, &t_all);
     assert_eq!(all_after.local_sensitivity, fresh.local_sensitivity);
     assert_eq!(all_after.witness, fresh.witness);
-    let _ = all_before;
 }
 
 /// Acceptance criterion: single-tuple update + re-query on a warm
@@ -383,12 +384,13 @@ fn single_tuple_update_requery_beats_rebuild_10x() {
     }
 
     // Rebuild path: fresh session (re-encode all four relations) + both
-    // queries from cold.
-    let current = session.database().clone();
+    // queries from cold. Every warm insert was deleted again, so the
+    // session's state is `db` once more.
+    assert_eq!(session.database().total_tuples(), db.total_tuples());
     let mut rebuild_best = f64::INFINITY;
     for _ in 0..3 {
         let t0 = Instant::now();
-        let fresh = EngineSession::new(&current);
+        let fresh = EngineSession::new(&db);
         let h = fresh.count_query(&hot, &t_hot).unwrap();
         let c = fresh.count_query(&cold, &t_cold).unwrap();
         rebuild_best = rebuild_best.min(t0.elapsed().as_secs_f64());

@@ -4,6 +4,7 @@ use crate::attr::{AttrId, AttrRegistry};
 use crate::error::DataError;
 use crate::relation::{Relation, Row};
 use crate::schema::Schema;
+use crate::update::Update;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -16,16 +17,16 @@ use std::sync::Arc;
 /// for speed.
 ///
 /// Relations are held behind `Arc`s, so **cloning a database is
-/// O(#relations), not O(data)**: a clone shares every relation's rows
-/// with the original and mutation forks only the touched relation
-/// (`Arc::make_mut`). Forking a relation copies its chunk pointers, and
-/// a single-row edit then copies the one or two chunks it writes
-/// ([`crate::Rows`]). This is what makes snapshot serving cheap — a
-/// writer forks the catalog, applies a delta (paying O(chunk) per row
-/// it touches), and publishes, while readers keep using the old
-/// snapshot. The attribute registry and the name map are shared the
-/// same way, so a clone allocates no strings; interning an attribute or
-/// adding a relation copies them on the first write.
+/// O(#relations), not O(data)**: a clone shares every relation with the
+/// original and mutation copies only the touched relation
+/// (`Arc::make_mut`). The attribute registry and the name map are
+/// shared the same way, so a clone allocates no strings; interning an
+/// attribute or adding a relation copies them on the first write.
+///
+/// [`Database::catalog`] keeps everything but the rows: each relation
+/// becomes a catalog entry ([`Relation::catalog`]) holding its schema
+/// and tuple count. That is the form an engine session keeps next to
+/// its encoded store, where the rows themselves live.
 #[derive(Clone, Default)]
 pub struct Database {
     registry: Arc<AttrRegistry>,
@@ -97,9 +98,8 @@ impl Database {
     }
 
     /// Mutable access to the relation at `idx`. Copy-on-write: if a
-    /// cloned database (a pinned snapshot) still shares this relation,
-    /// it is forked here (chunk pointers only; writes then copy the
-    /// chunks they touch) — the snapshot is never disturbed.
+    /// cloned database still shares this relation, it is copied here —
+    /// the clone is never disturbed.
     pub fn relation_mut(&mut self, idx: usize) -> &mut Relation {
         Arc::make_mut(&mut self.relations[idx].1)
     }
@@ -159,6 +159,25 @@ impl Database {
         }
     }
 
+    /// This catalog with every relation reduced to a catalog entry: the
+    /// same registry, names and schemas, and each relation's tuple count
+    /// in place of its rows.
+    pub fn catalog(&self) -> Database {
+        let relations = self
+            .relations
+            .iter()
+            .map(|(name, rel)| {
+                let entry = Relation::catalog(rel.schema().clone(), rel.len());
+                (name.clone(), Arc::new(entry))
+            })
+            .collect();
+        Database {
+            registry: Arc::clone(&self.registry),
+            relations,
+            by_name: Arc::clone(&self.by_name),
+        }
+    }
+
     /// Insert one copy of `row` into relation `idx` (the `D ∪ {t}` of
     /// upward tuple sensitivity).
     ///
@@ -172,6 +191,25 @@ impl Database {
     /// copy existed (the `D \ {t}` of downward tuple sensitivity).
     pub fn remove_row(&mut self, idx: usize, row: &[crate::Value]) -> bool {
         self.relation_mut(idx).remove_one(row)
+    }
+
+    /// Apply one delta to the rows, returning `false` only for a delete
+    /// of an absent row — the row-level twin of an engine session's
+    /// apply, for callers that keep a model of the data next to one.
+    ///
+    /// # Panics
+    /// Panics on an out-of-range relation or a row arity mismatch.
+    pub fn apply(&mut self, update: &Update) -> bool {
+        match update {
+            Update::Insert { relation, row } => self.insert_row(*relation, row.clone()),
+            Update::Delete { relation, row } => return self.remove_row(*relation, row),
+            Update::BulkLoad { relation, rows } => {
+                for row in rows {
+                    self.insert_row(*relation, row.clone());
+                }
+            }
+        }
+        true
     }
 }
 
@@ -244,6 +282,23 @@ mod tests {
         assert!(only_s.relation(r).is_empty());
         assert!(Arc::ptr_eq(&only_s.relations[s].1, &db.relations[s].1));
         assert_eq!(only_s.registry().len(), 2);
+    }
+
+    #[test]
+    fn catalog_keeps_names_schemas_and_counts_only() {
+        let mut db = Database::new();
+        let a = db.attr("A");
+        let r = db.add_empty("R", Schema::new(vec![a])).unwrap();
+        db.insert_row(r, vec![Value::Int(1)]);
+        db.insert_row(r, vec![Value::Int(1)]);
+        let catalog = db.catalog();
+        assert_eq!(catalog.relation_index("R"), Some(r));
+        assert_eq!(catalog.relation(r).schema(), db.relation(r).schema());
+        assert_eq!(
+            catalog.relation(r),
+            &Relation::catalog(Schema::new(vec![a]), 2)
+        );
+        assert!(Arc::ptr_eq(&catalog.registry, &db.registry));
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub use encoded::{Dict, EncodedRelation};
 pub use error::{DataError, TsensError};
 pub use fast::{FastMap, FastSet};
 pub use par::Pool;
-pub use relation::{Relation, Row, Rows, RowsIter};
+pub use relation::{Relation, Row};
 pub use schema::Schema;
 pub use session::EncodedDatabase;
 pub use shard::{

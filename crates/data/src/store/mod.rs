@@ -40,8 +40,7 @@ pub mod snapshot;
 pub mod wal;
 
 pub use snapshot::{
-    inspect_snapshot, load_snapshot, load_snapshot_with_pool, save_snapshot, snapshot_path,
-    LoadedSnapshot, SnapshotInfo,
+    inspect_snapshot, load_snapshot, save_snapshot, snapshot_path, LoadedSnapshot, SnapshotInfo,
 };
 pub use wal::{replay, truncate_tail, wal_path, FsyncPolicy, Wal, WalReplay};
 

@@ -18,7 +18,10 @@
 //! is straight buffer dumps and a load is straight reads — **no CSV
 //! parse, no dictionary sort, no re-encode**. The dictionary is stored
 //! region-by-region in code order, so every value keeps the exact code
-//! it had when saved and the loaded encoding is bit-identical.
+//! it had when saved and the loaded encoding is bit-identical. The
+//! loaded catalog holds names, schemas and tuple counts only (catalog
+//! entries, [`crate::Relation::catalog`]): the rows stay encoded, and no
+//! `Value` row is rebuilt.
 //!
 //! Publication is atomic: write to `<name>.tmp`, fsync the file, rename
 //! into place, fsync the directory. A crash mid-save leaves at worst a
@@ -27,17 +30,12 @@
 use super::format::{read_section, write_section, ByteReader, ByteWriter};
 use super::{fsync_dir, StoreError};
 use crate::encoded::{Dict, EncodedRelation};
-use crate::par::Pool;
 use crate::schema::Schema;
 use crate::value::Value;
 use crate::{AttrId, Database, EncodedDatabase, Relation};
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
-
-/// One relation's decoded `Value` rows plus its tuple total (counts
-/// expanded), as produced by the parallel snapshot decode.
-type DecodedRows = (Vec<Vec<Value>>, u64);
 
 /// Leading magic: "TSNP".
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"TSNP";
@@ -181,8 +179,8 @@ fn relation_payload(version: u64, rel: &EncodedRelation) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// A snapshot loaded back into memory: the Value-level catalog and the
-/// resident encoding, exactly as saved.
+/// A snapshot loaded back into memory: the catalog (names, schemas and
+/// tuple counts, no rows) and the resident encoding, exactly as saved.
 pub struct LoadedSnapshot {
     pub generation: u64,
     pub db: Database,
@@ -192,27 +190,15 @@ pub struct LoadedSnapshot {
 
 /// Load and fully validate a snapshot file.
 ///
-/// The encoding is reconstructed from the raw buffers (no re-encode);
-/// the Value-level catalog is rebuilt by decoding each lifted relation,
-/// expanding multiplicities — still far cheaper than the CSV path,
-/// which pays parse + whole-database dictionary sort + encode + group.
+/// The encoding is reconstructed from the raw buffers (no re-encode),
+/// and each catalog relation's tuple count is the checked sum of its
+/// encoded counts, which must add up to the meta section's total.
 ///
 /// # Errors
 /// [`StoreError::BadMagic`] / [`StoreError::UnsupportedVersion`] /
 /// [`StoreError::Corrupt`] on any damage; [`StoreError::Io`] otherwise.
 /// Never panics on arbitrary bytes.
 pub fn load_snapshot(path: &Path) -> Result<LoadedSnapshot, StoreError> {
-    load_snapshot_with_pool(path, &Pool::default())
-}
-
-/// [`load_snapshot`] with an explicit worker pool: the per-relation
-/// Value-row decodes fan out across `pool`, so recovery and cold start
-/// scale with cores. `Pool::sequential()` reproduces the single-threaded
-/// load exactly.
-///
-/// # Errors
-/// As [`load_snapshot`].
-pub fn load_snapshot_with_pool(path: &Path, pool: &Pool) -> Result<LoadedSnapshot, StoreError> {
     let file = File::open(path)?;
     let file_bytes = file.metadata()?.len();
     let mut r = BufReader::new(file);
@@ -229,7 +215,8 @@ pub fn load_snapshot_with_pool(path: &Path, pool: &Pool) -> Result<LoadedSnapsho
     }
     let generation = u64::from_le_bytes(head[8..16].try_into().expect("8"));
 
-    // Catalog: registry + empty relations with their schemas.
+    // Catalog: registry + catalog entries with their schemas (the
+    // tuple counts are filled in from the encoded counts below).
     let catalog = read_section(&mut r, "catalog")?;
     let mut c = ByteReader::new(&catalog, "catalog");
     let mut db = Database::new();
@@ -260,7 +247,7 @@ pub fn load_snapshot_with_pool(path: &Path, pool: &Pool) -> Result<LoadedSnapsho
         }
         let schema = Schema::new(attrs);
         schemas.push(schema.clone());
-        db.add_relation(&name, Relation::new(schema))?;
+        db.add_relation(&name, Relation::catalog(schema, 0))?;
     }
     if !c.exhausted() {
         return Err(StoreError::Corrupt("catalog: trailing bytes".into()));
@@ -348,56 +335,31 @@ pub fn load_snapshot_with_pool(path: &Path, pool: &Pool) -> Result<LoadedSnapsho
         return Err(StoreError::Corrupt("bad snapshot footer".into()));
     }
 
-    // Rebuild the Value-level rows by decoding the lifted relations
-    // (bag semantics: a count-k entry expands to k physical rows). The
-    // per-relation decodes are independent and fan out across `pool`;
-    // each worker caps its own running total at the meta bound so a
-    // corrupt multiplicity cannot balloon memory before the final
-    // cross-relation check below.
-    let decoded: Vec<Result<DecodedRows, StoreError>> = pool.run(lifted.len(), |idx| {
-        let rel = &lifted[idx];
+    // Tuple counts: bag semantics, a count-k entry stands for k tuples.
+    // Every sum is checked, so a corrupt multiplicity is refused here
+    // instead of overflowing a count.
+    let mut counted: u64 = 0;
+    for (idx, rel) in lifted.iter().enumerate() {
         let name = db.relation_name(idx);
-        let mut rows: Vec<Vec<Value>> = Vec::with_capacity(rel.len());
-        let mut tuples: u64 = 0;
-        for i in 0..rel.len() {
-            let row: Vec<Value> = rel.row(i).iter().map(|&c| dict.decode(c)).collect();
-            let copies = usize::try_from(rel.count(i)).map_err(|_| {
+        let len = rel
+            .raw_counts()
+            .iter()
+            .try_fold(0usize, |len, &c| {
+                usize::try_from(c).ok().and_then(|c| len.checked_add(c))
+            })
+            .ok_or_else(|| {
                 StoreError::Corrupt(format!(
                     "relation {name}: multiplicity exceeds addressable rows"
                 ))
             })?;
-            tuples = tuples.saturating_add(copies as u64);
-            if tuples > total_tuples {
-                return Err(StoreError::Corrupt(
-                    "decoded more tuples than the meta section recorded".into(),
-                ));
-            }
-            for _ in 1..copies {
-                rows.push(row.clone());
-            }
-            if copies > 0 {
-                rows.push(row);
-            }
-        }
-        Ok((rows, tuples))
-    });
-    let mut decoded_tuples: u64 = 0;
-    for (idx, res) in decoded.into_iter().enumerate() {
-        let (rows, tuples) = res?;
-        decoded_tuples = decoded_tuples.saturating_add(tuples);
-        if decoded_tuples > total_tuples {
-            return Err(StoreError::Corrupt(
-                "decoded more tuples than the meta section recorded".into(),
-            ));
-        }
-        let out = db.relation_mut(idx);
-        for row in rows {
-            out.push(row);
-        }
+        db.relation_mut(idx).set_catalog_len(len);
+        counted = counted
+            .checked_add(len as u64)
+            .ok_or_else(|| StoreError::Corrupt("tuple counts overflow".into()))?;
     }
-    if decoded_tuples != total_tuples {
+    if counted != total_tuples {
         return Err(StoreError::Corrupt(format!(
-            "decoded {decoded_tuples} tuples, meta recorded {total_tuples}"
+            "encoded counts sum to {counted} tuples, meta recorded {total_tuples}"
         )));
     }
 

@@ -23,7 +23,7 @@ use crate::laplace::laplace_mechanism;
 use crate::svt::svt_first_above;
 use rand::Rng;
 use tsens_core::elastic::{elastic_sensitivity_session, plan_order_from_tree};
-use tsens_data::{sat_mul, AttrId, Count, Database, FastMap, Row, TsensError};
+use tsens_data::{sat_mul, AttrId, Count, Database, FastMap, Relation, Row, TsensError};
 use tsens_engine::EngineSession;
 use tsens_query::{ConjunctiveQuery, DecompositionTree};
 
@@ -92,29 +92,15 @@ impl PrivSqlResult {
     }
 }
 
-/// Histogram of join-key frequencies for one relation.
-fn key_frequencies(
-    db: &Database,
-    cq: &ConjunctiveQuery,
-    atom: usize,
-    key: &[AttrId],
-) -> Vec<Count> {
-    let a = &cq.atoms()[atom];
-    let rel = db.relation(a.relation);
-    let positions: Vec<usize> = key
-        .iter()
-        .map(|&k| {
-            a.schema
-                .position(k)
-                .expect("cascade key must be in the atom schema")
-        })
-        .collect();
+/// Join-key frequencies of `rel`: how many rows carry each value of
+/// the columns at `positions`.
+fn key_frequencies(rel: &Relation, positions: &[usize]) -> FastMap<Row, Count> {
     let mut freq: FastMap<Row, Count> = FastMap::default();
     for row in rel.rows() {
         let k: Row = positions.iter().map(|&i| row[i].clone()).collect();
         *freq.entry(k).or_insert(0) += 1;
     }
-    freq.into_values().collect()
+    freq
 }
 
 /// Answer `cq` under the PrivSQL-style mechanism with privacy budget
@@ -144,8 +130,10 @@ pub fn privsql_answer<R: Rng>(
 
 /// [`privsql_answer`] over a warm session. The untruncated `|Q(D)|` is
 /// served by the session's pass cache; the truncated instance is a
-/// *different* database (rows removed by the learned caps), so its count
-/// and its elastic bound come from one session over that instance.
+/// *different* database (rows removed by the learned caps), built from
+/// the query's relations decoded out of the session's encoding, so its
+/// count and its elastic bound come from one session over that
+/// instance.
 ///
 /// # Errors
 /// [`TsensError`] when one of the query's relations is outside the
@@ -166,14 +154,12 @@ pub fn privsql_answer_session<R: Rng>(
         policy.primary_atom < cq.atom_count(),
         "primary atom out of range"
     );
-    let db = session.database();
-
     let eps_learn = epsilon / 2.0;
     let eps_answer = epsilon / 2.0;
     let true_count = session.count_query(cq, tree)?;
 
     // Phase 1: learn per-cascade frequency caps with SVT and truncate.
-    let mut work = db.clone();
+    let mut work = session.decode_rows(cq.atoms().iter().map(|a| a.relation))?;
     let mut multiplier: FastMap<usize, Count> = FastMap::default();
     multiplier.insert(policy.primary_atom, 1);
     let mut learned_caps = Vec::with_capacity(policy.cascades.len());
@@ -189,11 +175,21 @@ pub fn privsql_answer_session<R: Rng>(
         // Policy sensitivity of the frequency histogram: one primary tuple
         // can add/remove up to `parent_mult` rows of this relation.
         let delta = parent_mult as f64;
-        let freqs = key_frequencies(&work, cq, rule.atom, &rule.key);
+        let a = &cq.atoms()[rule.atom];
+        let positions: Vec<usize> = rule
+            .key
+            .iter()
+            .map(|&k| {
+                a.schema
+                    .position(k)
+                    .expect("cascade key must be in the atom schema")
+            })
+            .collect();
+        let freq = key_frequencies(work.relation(a.relation), &positions);
         // SVT stream: q_i = −(#keys with frequency > i); the first i whose
         // noisy value reaches 0 means "(almost) nothing left to truncate".
         let queries =
-            (1..policy.max_threshold).map(|i| -(freqs.iter().filter(|&&f| f > i).count() as f64));
+            (1..policy.max_threshold).map(|i| -(freq.values().filter(|&&f| f > i).count() as f64));
         let cap = match svt_first_above(rng, per_cascade_eps, delta, 0.0, queries) {
             Some(idx) => idx as Count + 1,
             None => policy.max_threshold,
@@ -201,17 +197,6 @@ pub fn privsql_answer_session<R: Rng>(
         learned_caps.push(cap);
         multiplier.insert(rule.atom, sat_mul(parent_mult, cap));
         // Truncate: drop rows whose key value now exceeds the cap.
-        let a = &cq.atoms()[rule.atom];
-        let positions: Vec<usize> = rule
-            .key
-            .iter()
-            .map(|&k| a.schema.position(k).expect("key in schema"))
-            .collect();
-        let mut freq: FastMap<Row, Count> = FastMap::default();
-        for row in work.relation(a.relation).rows() {
-            let k: Row = positions.iter().map(|&i| row[i].clone()).collect();
-            *freq.entry(k).or_insert(0) += 1;
-        }
         work.relation_mut(a.relation).retain(|row| {
             let k: Row = positions.iter().map(|&i| row[i].clone()).collect();
             freq[&k] <= cap

@@ -17,24 +17,26 @@
 //! where `δ(t)` is read off the relation's multiplicity table (it counts
 //! join combinations of the *other* relations only, which truncation never
 //! touches). [`TruncationProfile`] materialises the per-row sensitivities
-//! once and serves every `|Q(T(D, i))|` by prefix sum — this is what lets
-//! TSensDP's SVT scan thresholds `1..ℓ` without re-evaluating the query.
+//! once, as runs of rows sharing a sensitivity, and serves every
+//! `|Q(T(D, i))|` by prefix sum — this is what lets TSensDP's SVT scan
+//! thresholds `1..ℓ` without re-evaluating the query.
 
 use tsens_core::{MultiplicityTable, SessionExt};
-use tsens_data::{sat_add, Count, Database, TsensError};
+use tsens_data::{sat_add, sat_mul, Count, Database, TsensError, Value};
 use tsens_engine::EngineSession;
-use tsens_query::{ConjunctiveQuery, DecompositionTree};
+use tsens_query::{Atom, ConjunctiveQuery, DecompositionTree};
 
 /// Pre-computed per-row sensitivities of the primary private relation,
-/// with prefix sums over distinct sensitivity values.
+/// as runs of rows sharing one sensitivity, with prefix sums over them.
 #[derive(Clone, Debug)]
 pub struct TruncationProfile {
-    /// Distinct per-row sensitivities, ascending (zeros omitted).
+    /// Distinct per-row sensitivities, ascending (zeros omitted): one
+    /// run of private rows per value.
     deltas: Vec<Count>,
     /// `prefix[i]` = Σ δ(t) over rows with `δ(t) ≤ deltas[i]`.
     prefix: Vec<Count>,
-    /// Per-row `δ` for rows with `δ > 0`, in relation order.
-    row_deltas: Vec<Count>,
+    /// `rows[i]` = number of rows with `0 < δ(t) ≤ deltas[i]`.
+    rows: Vec<Count>,
 }
 
 impl TruncationProfile {
@@ -47,42 +49,15 @@ impl TruncationProfile {
         table: &MultiplicityTable,
     ) -> Self {
         let atom = &cq.atoms()[private_atom];
-        let rel = db.relation(atom.relation);
-        let mut row_deltas: Vec<Count> = Vec::new();
-        for row in rel.rows() {
-            if !atom.predicate.is_trivial() && !atom.predicate.eval(&atom.schema, row) {
-                continue;
-            }
-            let delta = table.sensitivity_of(&atom.schema, row);
-            if delta > 0 {
-                row_deltas.push(delta);
-            }
-        }
-        let mut by_delta = row_deltas.clone();
-        by_delta.sort_unstable();
-        let mut deltas: Vec<Count> = Vec::new();
-        let mut prefix: Vec<Count> = Vec::new();
-        let mut acc: Count = 0;
-        for d in by_delta {
-            acc = sat_add(acc, d);
-            match deltas.last() {
-                Some(&last) if last == d => *prefix.last_mut().expect("non-empty") = acc,
-                _ => {
-                    deltas.push(d);
-                    prefix.push(acc);
-                }
-            }
-        }
-        TruncationProfile {
-            deltas,
-            prefix,
-            row_deltas,
-        }
+        let rows = db.relation(atom.relation).iter().map(|row| (row, 1));
+        TruncationProfile::score(atom, table, rows)
     }
 
     /// [`TruncationProfile::build`] over a warm session: the private
-    /// atom's multiplicity table is served from the session's result
-    /// cache (computed at most once per `(query, tree, atom)`), and the
+    /// atom's lift (selected and grouped, decoded row by row) is scored,
+    /// a distinct row of count `c` counting as `c` rows. The atom's
+    /// multiplicity table is served from the session's result cache
+    /// (computed at most once per `(query, tree, atom)`), and the
     /// finished profile is memoized too — repeated-run experiments and
     /// interleaved DP answers over one database only re-draw noise.
     ///
@@ -102,21 +77,68 @@ impl TruncationProfile {
             &[private_atom as u128],
             || {
                 let table = session.multiplicity_table_for(cq, tree, private_atom)?;
-                Ok(TruncationProfile::build(
-                    session.database(),
-                    cq,
-                    private_atom,
-                    &table,
-                ))
+                let atom = &cq.atoms()[private_atom];
+                let lifted = session.lifted_atom(atom)?;
+                let dict = session.dict();
+                let rows = lifted.iter().map(|(codes, c)| {
+                    let row: Vec<Value> = codes.iter().map(|&code| dict.decode(code)).collect();
+                    (row, c)
+                });
+                Ok(TruncationProfile::score(atom, &table, rows))
             },
         )?;
         Ok((*cached).clone())
     }
 
+    /// The one scoring loop: each `(row, copies)` of the private atom
+    /// that passes its predicate adds `copies` rows of sensitivity
+    /// `δ(row)`, then equal sensitivities merge into one run.
+    fn score<R: AsRef<[Value]>>(
+        atom: &Atom,
+        table: &MultiplicityTable,
+        rows: impl Iterator<Item = (R, Count)>,
+    ) -> Self {
+        let mut runs: Vec<(Count, Count)> = Vec::new();
+        for (row, copies) in rows {
+            let row = row.as_ref();
+            if !atom.predicate.is_trivial() && !atom.predicate.eval(&atom.schema, row) {
+                continue;
+            }
+            let delta = table.sensitivity_of(&atom.schema, row);
+            if delta > 0 {
+                runs.push((delta, copies));
+            }
+        }
+        runs.sort_unstable_by_key(|&(delta, _)| delta);
+        let mut profile = TruncationProfile {
+            deltas: Vec::new(),
+            prefix: Vec::new(),
+            rows: Vec::new(),
+        };
+        let (mut sum, mut rows): (Count, Count) = (0, 0);
+        for (delta, copies) in runs {
+            sum = sat_add(sum, sat_mul(delta, copies));
+            rows = sat_add(rows, copies);
+            if profile.deltas.last() != Some(&delta) {
+                profile.deltas.push(delta);
+                profile.prefix.push(sum);
+                profile.rows.push(rows);
+            } else {
+                *profile.prefix.last_mut().expect("non-empty") = sum;
+                *profile.rows.last_mut().expect("non-empty") = rows;
+            }
+        }
+        profile
+    }
+
+    /// Number of runs with `δ ≤ τ`.
+    fn runs_upto(&self, tau: Count) -> usize {
+        self.deltas.partition_point(|&d| d <= tau)
+    }
+
     /// `|Q(T_TSens(Q, D, τ))|` — the bag count after truncating at `τ`.
     pub fn truncated_count(&self, tau: Count) -> Count {
-        // Largest delta ≤ tau.
-        match self.deltas.partition_point(|&d| d <= tau) {
+        match self.runs_upto(tau) {
             0 => 0,
             i => self.prefix[i - 1],
         }
@@ -135,7 +157,12 @@ impl TruncationProfile {
 
     /// Number of rows that would be dropped when truncating at `τ`.
     pub fn dropped_rows(&self, tau: Count) -> usize {
-        self.row_deltas.iter().filter(|&&d| d > tau).count()
+        let kept = match self.runs_upto(tau) {
+            0 => 0,
+            i => self.rows[i - 1],
+        };
+        let scored = self.rows.last().copied().unwrap_or(0);
+        usize::try_from(scored - kept).unwrap_or(usize::MAX)
     }
 }
 

@@ -27,9 +27,9 @@
 //! The session is a **mutable, versioned database**, not a frozen
 //! snapshot: [`EngineSession::apply`] (and the [`EngineSession::insert`]
 //! / [`EngineSession::delete`] / [`EngineSession::bulk_load`] sugar)
-//! pushes single-tuple and bulk deltas through both the `Value` catalog
-//! and the resident encoding in place, then invalidates **selectively**
-//! instead of wholesale:
+//! pushes single-tuple and bulk deltas into the resident encoding in
+//! place (the catalog only tracks each relation's tuple count), then
+//! invalidates **selectively** instead of wholesale:
 //!
 //! * lifted-atom entries keyed `(relation, predicate)` die only when
 //!   that relation changes;
@@ -59,12 +59,12 @@ use crate::passes::{
 };
 use crate::pool::Pool;
 use std::any::Any;
-use std::borrow::Cow;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use tsens_data::{
     sat_add, AttrId, Count, DataError, Database, Dict, EncodedDatabase, EncodedRelation, FastMap,
-    Row, Schema, TsensError, Update,
+    Relation, Row, Schema, TsensError, Update,
 };
 use tsens_query::{Atom, ConjunctiveQuery, DecompositionTree, Predicate};
 
@@ -344,13 +344,15 @@ type ResultKey = (&'static str, QueryKey, Vec<u128>);
 /// the module docs for the cache inventory and invalidation rules;
 /// construction performs the whole database-resident encoding eagerly.
 ///
-/// The session starts by borrowing the caller's database; the first
-/// [`EngineSession::apply`] forks it copy-on-write (the caller's
-/// original is never mutated) and from then on the session owns the
-/// authoritative, versioned catalog — read it back through
-/// [`EngineSession::database`].
+/// The encoded store is the only copy of the data. Next to it the
+/// session keeps a catalog ([`Database::catalog`]: registry, names,
+/// schemas and one tuple count per relation), which every update keeps
+/// current — read it back through [`EngineSession::database`]. Reading
+/// the rows of a catalog relation panics; decode them from
+/// [`EngineSession::encoded`] instead. The caller's database is never
+/// mutated.
 pub struct EngineSession<'a> {
-    db: Cow<'a, Database>,
+    db: Database,
     enc: EncodedDatabase,
     /// Predicated lifted atoms: `(relation, predicate) → lift`.
     atoms: Mutex<FastMap<(usize, Predicate), Arc<EncodedRelation>>>,
@@ -365,6 +367,9 @@ pub struct EngineSession<'a> {
     /// across it. `Pool::sequential()` runs every algorithm in order on
     /// the calling thread.
     pool: Pool,
+    /// The session borrows nothing; the lifetime stays so existing
+    /// `EngineSession<'static>` signatures keep naming the same type.
+    _lifetime: PhantomData<&'a Database>,
 }
 
 impl<'a> EngineSession<'a> {
@@ -382,7 +387,7 @@ impl<'a> EngineSession<'a> {
     /// single-threaded engine byte-for-byte.
     pub fn with_pool(db: &'a Database, pool: Pool) -> Self {
         Self::from_parts(
-            Cow::Borrowed(db),
+            db.catalog(),
             EncodedDatabase::new_with_pool(db, &pool),
             pool,
         )
@@ -395,15 +400,16 @@ impl<'a> EngineSession<'a> {
     /// still match; the session is whole (it takes updates like any
     /// other), it just holds no rows the query cannot read.
     pub fn for_query(db: &Database, cq: &ConjunctiveQuery) -> EngineSession<'static> {
-        let catalog = db.with_rows_of(cq.atoms().iter().map(|a| a.relation));
-        let enc = EncodedDatabase::new(&catalog);
-        EngineSession::from_parts(Cow::Owned(catalog), enc, Pool::default())
+        let kept = db.with_rows_of(cq.atoms().iter().map(|a| a.relation));
+        let enc = EncodedDatabase::new(&kept);
+        EngineSession::from_parts(kept.catalog(), enc, Pool::default())
     }
 
     /// Open a session that **owns** its database — the serving
     /// front-end's constructor, where the session must outlive the scope
     /// that loaded the data (`EngineSession<'static>` slots straight
-    /// into an `RwLock` shared across worker threads).
+    /// into an `RwLock` shared across worker threads). The rows are
+    /// dropped once encoded.
     pub fn owned(db: Database) -> EngineSession<'static> {
         Self::owned_with_pool(db, Pool::default())
     }
@@ -411,7 +417,7 @@ impl<'a> EngineSession<'a> {
     /// [`EngineSession::owned`] on an explicit worker pool.
     pub fn owned_with_pool(db: Database, pool: Pool) -> EngineSession<'static> {
         let enc = EncodedDatabase::new_with_pool(&db, &pool);
-        EngineSession::from_parts(Cow::Owned(db), enc, pool)
+        EngineSession::from_parts(db.catalog(), enc, pool)
     }
 
     /// Open an owning session over state restored from a durable
@@ -438,15 +444,15 @@ impl<'a> EngineSession<'a> {
             .into());
         }
         Ok(EngineSession::from_parts(
-            Cow::Owned(db),
+            db.catalog(),
             enc,
             Pool::default(),
         ))
     }
 
-    fn from_parts(db: Cow<'a, Database>, enc: EncodedDatabase, pool: Pool) -> Self {
+    fn from_parts(catalog: Database, enc: EncodedDatabase, pool: Pool) -> Self {
         EngineSession {
-            db,
+            db: catalog,
             enc,
             atoms: Mutex::new(FastMap::default()),
             passes: Mutex::new(FastMap::default()),
@@ -454,6 +460,7 @@ impl<'a> EngineSession<'a> {
             mf: Mutex::new(FastMap::default()),
             stats: StatCounters::default(),
             pool,
+            _lifetime: PhantomData,
         }
     }
 
@@ -463,7 +470,9 @@ impl<'a> EngineSession<'a> {
         &self.pool
     }
 
-    /// The session's current database (reflecting every applied update).
+    /// The session's catalog: names, schemas and tuple counts, reflecting
+    /// every applied update. Its relations hold no rows (reading them
+    /// panics); the data lives in [`EngineSession::encoded`].
     #[inline]
     pub fn database(&self) -> &Database {
         &self.db
@@ -479,6 +488,32 @@ impl<'a> EngineSession<'a> {
     #[inline]
     pub fn encoded(&self) -> &EncodedDatabase {
         &self.enc
+    }
+
+    /// The catalog with the rows of `relations` decoded from the encoded
+    /// store (a distinct row of count `c` as `c` rows, in code order)
+    /// and every other relation empty — for the callers that need
+    /// `Value` rows back, such as a mechanism that truncates a copy of
+    /// the data.
+    ///
+    /// # Errors
+    /// [`TsensError::NoSuchRelation`] for a relation outside the
+    /// catalog.
+    pub fn decode_rows(
+        &self,
+        relations: impl IntoIterator<Item = usize>,
+    ) -> Result<Database, TsensError> {
+        let mut db = self.db.with_rows_of([]);
+        for rel in relations {
+            let decoded = self.enc.lifted(rel)?.decode(self.dict());
+            let mut rows = Vec::new();
+            for (row, c) in decoded.iter() {
+                let copies = usize::try_from(*c).expect("a count fits the rows it stands for");
+                rows.extend(std::iter::repeat_n(row, copies).cloned());
+            }
+            *db.relation_mut(rel) = Relation::from_rows(decoded.schema().clone(), rows);
+        }
+        Ok(db)
     }
 
     /// Check that every relation `cq` references is in the catalog — the
@@ -524,18 +559,17 @@ impl<'a> EngineSession<'a> {
     }
 
     /// Fork this session copy-on-write — the snapshot-publish writer
-    /// path. The child owns its database (`'static`), shares every
-    /// relation's rows and the resident encoding with the parent via
-    /// `Arc`, and **carries the parent's warm caches forward**: atom
-    /// lifts, pass state, result entries, and `mf` statistics
-    /// accumulated by readers against the parent all remain hits in the
-    /// child. Stats counters continue from the parent's values, with
+    /// path. The child (`'static`) shares the catalog and the resident
+    /// encoding with the parent via `Arc`, and **carries the parent's
+    /// warm caches forward**: atom lifts, pass state, result entries,
+    /// and `mf` statistics accumulated by readers against the parent all
+    /// remain hits in the child. Stats counters continue from the parent's values, with
     /// `forks` bumped by one.
     ///
-    /// Cost is O(#relations + #cache entries) pointer clones — no row
-    /// data, encodings, or pass state are copied. An update applied to
-    /// the child then copies only what it writes: the one or two `Value`
-    /// row chunks, one exactly-sized copy of the touched encoded
+    /// Cost is O(#relations + #cache entries) pointer clones — no
+    /// encodings or pass state are copied. An update applied to the
+    /// child then copies only what it writes: the touched relation's
+    /// catalog entry, one exactly-sized copy of the touched encoded
     /// relation, and, for each repaired pass entry the parent still
     /// shares, a shallow copy of the entry plus the ⊥/⊤ states the
     /// delta changes. The parent never observes the child's updates.
@@ -546,7 +580,7 @@ impl<'a> EngineSession<'a> {
         let mut stats = self.stats();
         stats.forks += 1;
         EngineSession {
-            db: Cow::Owned(self.db.clone().into_owned()),
+            db: self.db.clone(),
             enc: self.enc.clone(),
             atoms: clone_map(&self.atoms),
             passes: clone_map(&self.passes),
@@ -554,6 +588,7 @@ impl<'a> EngineSession<'a> {
             mf: clone_map(&self.mf),
             stats: StatCounters::from_stats(stats),
             pool: self.pool,
+            _lifetime: PhantomData,
         }
     }
 
@@ -562,10 +597,10 @@ impl<'a> EngineSession<'a> {
     /// Predicate-free atoms share the resident encoding; predicated
     /// atoms are filtered once per distinct `(relation, predicate)` and
     /// cached. Selection predicates are evaluated over the encoded rows
-    /// through a decoding lookup, so the `Value` rows are never
-    /// re-scanned. A predicate constant the database has never seen is
-    /// simply never equal to any stored value — the lift comes back
-    /// empty, never a panic.
+    /// through a decoding lookup (the session holds no `Value` rows). A
+    /// predicate constant the database has never seen is simply never
+    /// equal to any stored value — the lift comes back empty, never a
+    /// panic.
     ///
     /// # Errors
     /// [`TsensError::NoSuchRelation`] when the atom's relation is
@@ -822,10 +857,11 @@ impl<'a> EngineSession<'a> {
     }
 
     /// Apply one delta: sweep the caches fingerprinted on the touched
-    /// relation, push the delta through the `Value` catalog and the
-    /// resident encoding in place, and re-sort the dictionary if the
-    /// delta introduced new values. Returns `Ok(false)` only for a
-    /// delete of an absent row (a no-op: nothing is swept or bumped).
+    /// relation, push the delta into the resident encoding in place
+    /// (and into the touched relation's catalog tuple count), and
+    /// re-sort the dictionary if the delta introduced new values.
+    /// Returns `Ok(false)` only for a delete of an absent row (a no-op:
+    /// nothing is swept or bumped).
     ///
     /// # Errors
     /// [`TsensError::NoSuchRelation`] on an out-of-range relation,
@@ -946,21 +982,12 @@ impl<'a> EngineSession<'a> {
             .enc
             .apply_traced(&update)?
             .expect("existence was pre-checked");
-        // Mirror the delta into the Value catalog (copy-on-write: the
-        // caller's original database is forked on the first update).
-        let db = self.db.to_mut();
-        match update {
-            Update::Insert { relation, row } => db.insert_row(relation, row),
-            Update::Delete { relation, row } => {
-                let removed = db.remove_row(relation, &row);
-                debug_assert!(removed, "encoding and catalog agree on membership");
-            }
-            Update::BulkLoad { relation, rows } => {
-                for row in rows {
-                    db.insert_row(relation, row);
-                }
-            }
-        }
+        let entry = self.db.relation_mut(rel);
+        let len = match &update {
+            Update::Delete { .. } => entry.len() - 1,
+            _ => entry.len() + update.tuple_count(),
+        };
+        entry.set_catalog_len(len);
         // Phase 2 (post-mutation, pre-normalize — the delta's codes are
         // valid exactly in this window): repair candidates in O(delta)
         // or fall back, then patch/retain results and mf statistics.
@@ -1141,8 +1168,8 @@ impl<'a> EngineSession<'a> {
         // Results: an entry survives only if its pass state is provably
         // unchanged AND its kind derives from pass state alone. Other
         // kinds ("elastic" reads mf, "truncation_profile" and
-        // "tsens_path" read raw catalog rows) depend on the relation's
-        // contents even when the join counts are unchanged.
+        // "tsens_path" read the lifted atoms themselves) depend on the
+        // relation's contents even when the join counts are unchanged.
         let results = self.results.get_mut().expect("result cache poisoned");
         if !results.is_empty() {
             let n = results.len();
@@ -1276,7 +1303,7 @@ impl<'a> EngineSession<'a> {
 /// capped passes from the raw lifted atoms (and enumerates candidate
 /// tuples from them, so even a join-invisible row can shift top-k
 /// tie-breaks); `"elastic"` reads `mf` statistics; `"tsens_path"` and
-/// `"truncation_profile"` read raw catalog rows.
+/// `"truncation_profile"` read the lifted atoms themselves.
 const PASS_PURE_RESULT_KINDS: &[&str] = &["tsens", "mtable"];
 
 /// Maintenance work sheet for one update, split at the encoded mutation:
@@ -1597,8 +1624,8 @@ mod tests {
     }
 
     /// Leading-column sets take the run scan and the rest the group;
-    /// both must match a count over the `Value` rows, also once inserts
-    /// mint overflow codes.
+    /// both must match a count over a model database's `Value` rows,
+    /// also once inserts mint overflow codes.
     #[test]
     fn max_frequency_matches_value_rows_on_every_attr_set() {
         use rand::rngs::StdRng;
@@ -1614,13 +1641,12 @@ mod tests {
         let rows = (0..60).map(|_| row(4)).collect();
         db.add_relation("R", Relation::from_rows(Schema::new(attrs.to_vec()), rows))
             .unwrap();
-        let mut session = EngineSession::owned(db);
+        let mut session = EngineSession::owned(db.clone());
         for round in 0..3 {
-            let rel = session.database().relation(0).clone();
             for mask in 0..8usize {
                 let cols: Vec<usize> = (0..3).filter(|i| mask >> i & 1 == 1).collect();
                 let mut freq: FastMap<Row, Count> = FastMap::default();
-                for r in rel.rows() {
+                for r in db.relation(0).rows() {
                     *freq
                         .entry(cols.iter().map(|&i| r[i].clone()).collect())
                         .or_insert(0) += 1;
@@ -1632,26 +1658,28 @@ mod tests {
                     "round {round}, columns {cols:?}"
                 );
             }
-            session.insert(0, row(8)).unwrap();
-            session.insert(0, row(8)).unwrap();
+            for _ in 0..2 {
+                let r = row(8);
+                session.insert(0, r.clone()).unwrap();
+                db.insert_row(0, r);
+            }
         }
     }
 
     #[test]
     fn update_invalidates_only_touched_relations() {
-        let (db, q, tree) = path_db();
+        let (mut db, q, tree) = path_db();
         // A second query over S alone: its caches must survive R updates.
         let s_only = ConjunctiveQuery::over(&db, "s", &["S"]).unwrap();
         let s_tree = gyo_decompose(&s_only).unwrap().expect_acyclic("single");
-        let mut session = EngineSession::new(&db);
+        let mut session = EngineSession::owned(db.clone());
         let rs_before = session.count_query(&q, &tree).unwrap();
         let s_count = session.count_query(&s_only, &s_tree).unwrap();
         assert_eq!(session.stats().pass_misses, 2);
 
         // Insert into R (values already in the dictionary: no epoch).
-        session
-            .insert(0, vec![Value::Int(2), Value::Int(10)])
-            .unwrap();
+        let row = vec![Value::Int(2), Value::Int(10)];
+        session.insert(0, row.clone()).unwrap();
         let stats = session.stats();
         assert_eq!(stats.updates_applied, 1);
         assert_eq!(stats.dict_epochs, 0);
@@ -1672,10 +1700,12 @@ mod tests {
         assert_eq!(session.count_query(&q, &tree).unwrap(), rs_before + 2);
         assert_eq!(session.stats().pass_hits, 2);
         assert_eq!(session.stats().pass_misses, 2);
-        // And it matches a from-scratch run on the mutated catalog.
+        // And it matches a from-scratch run on the same update applied
+        // to the caller's database.
+        db.insert_row(0, row);
         assert_eq!(
             session.count_query(&q, &tree).unwrap(),
-            naive_count(session.database(), &q)
+            naive_count(&db, &q)
         );
     }
 
@@ -1728,21 +1758,21 @@ mod tests {
 
     #[test]
     fn new_value_update_runs_an_epoch_and_keeps_answers_exact() {
-        let (db, q, tree) = path_db();
-        let mut session = EngineSession::new(&db);
+        let (mut db, q, tree) = path_db();
+        let mut session = EngineSession::owned(db.clone());
         let before = session.count_query(&q, &tree).unwrap();
         // Int(5) is new to the dictionary → re-sort epoch; the row joins
         // nothing, so the count is unchanged but recomputed.
-        session
-            .insert(0, vec![Value::Int(5), Value::Int(99)])
-            .unwrap();
+        let row = vec![Value::Int(5), Value::Int(99)];
+        session.insert(0, row.clone()).unwrap();
+        db.insert_row(0, row);
         assert_eq!(session.stats().dict_epochs, 1);
         assert_eq!(session.dict_epoch(), 1);
         assert!(session.dict().is_order_isomorphic());
         assert_eq!(session.count_query(&q, &tree).unwrap(), before);
         assert_eq!(
             session.count_query(&q, &tree).unwrap(),
-            naive_count(session.database(), &q)
+            naive_count(&db, &q)
         );
         // Delete it again: back to the original database.
         assert!(session
@@ -1827,9 +1857,9 @@ mod tests {
 
     #[test]
     fn batched_updates_share_one_epoch() {
-        let (db, q, tree) = path_db();
-        let mut session = EngineSession::new(&db);
-        let before = session.count_query(&q, &tree).unwrap();
+        let (mut db, q, tree) = path_db();
+        let mut session = EngineSession::owned(db.clone());
+        session.count_query(&q, &tree).unwrap();
         let applied = session
             .apply_all(vec![
                 Update::insert(0, vec![Value::Int(100), Value::Int(10)]),
@@ -1840,11 +1870,69 @@ mod tests {
             .unwrap();
         assert_eq!(applied, 3);
         assert_eq!(session.stats().dict_epochs, 1, "one deferred epoch");
+        db.insert_row(0, vec![Value::Int(100), Value::Int(10)]);
+        db.insert_row(0, vec![Value::Int(101), Value::Int(10)]);
+        db.insert_row(1, vec![Value::Int(10), Value::Int(200)]);
         assert_eq!(
             session.count_query(&q, &tree).unwrap(),
-            naive_count(session.database(), &q)
+            naive_count(&db, &q)
         );
-        let _ = before;
+        assert_eq!(session.database().total_tuples(), db.total_tuples());
+    }
+
+    #[test]
+    fn catalog_counts_follow_every_update_and_fork() {
+        let (db, _, _) = path_db();
+        let mut session = EngineSession::new(&db);
+        assert_eq!(session.database().total_tuples(), 6);
+        session
+            .insert(0, vec![Value::Int(1), Value::Int(10)])
+            .unwrap();
+        session
+            .bulk_load(1, vec![vec![Value::Int(10), Value::Int(20)]; 3])
+            .unwrap();
+        assert!(session
+            .delete(0, vec![Value::Int(2), Value::Int(11)])
+            .unwrap());
+        assert!(!session
+            .delete(0, vec![Value::Int(2), Value::Int(11)])
+            .unwrap());
+        assert_eq!(session.database().relation(0).len(), 3);
+        assert_eq!(session.database().relation(1).len(), 6);
+        let mut child = session.fork();
+        child
+            .insert(0, vec![Value::Int(1), Value::Int(10)])
+            .unwrap();
+        assert_eq!(child.database().relation(0).len(), 4);
+        assert_eq!(
+            session.database().relation(0).len(),
+            3,
+            "the parent is untouched"
+        );
+        assert_eq!(db.total_tuples(), 6, "the caller's database is untouched");
+    }
+
+    #[test]
+    fn decode_rows_expands_counts_and_leaves_the_rest_empty() {
+        let (db, _, _) = path_db();
+        let session = EngineSession::new(&db);
+        let decoded = session.decode_rows([0]).unwrap();
+        let mut want = db.relation(0).rows().to_vec();
+        want.sort();
+        assert_eq!(decoded.relation(0).rows(), want.as_slice());
+        assert!(decoded.relation(1).rows().is_empty());
+        assert!(matches!(
+            session.decode_rows([9]),
+            Err(TsensError::NoSuchRelation { relation: 9, .. })
+        ));
+    }
+
+    #[test]
+    #[should_panic(expected = "catalog-only relation")]
+    fn reading_session_catalog_rows_panics() {
+        let (db, _, _) = path_db();
+        let session = EngineSession::owned(db);
+        let _ = session.database().relation(0).rows();
     }
 
     #[test]

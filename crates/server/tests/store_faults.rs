@@ -6,15 +6,20 @@
 //! detected, stepping the ladder down instead of serving garbage.
 //!
 //! Recovery runs as the server boots: [`durability::recover`] replays
-//! the WAL through the engine session. A state's fingerprint reads
-//! both the catalog and the decoded encoding, so a replay that left the
-//! two apart fails as surely as one that landed on the wrong prefix.
+//! the WAL through the engine session. A state's fingerprint is its
+//! encoding decoded, checked against the catalog's tuple counts, and
+//! every accepted prefix is compared against a model database the same
+//! batches were applied to independently — so a replay that left the
+//! counts and the encoding apart fails as surely as one that landed on
+//! the wrong prefix.
 
 use proptest::prelude::*;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use tsens_data::io::parse_ops;
-use tsens_data::store::{self, FsyncPolicy, Store};
+use tsens_data::store::format::{read_section, write_section};
+use tsens_data::store::{self, FsyncPolicy, Store, StoreError};
 use tsens_data::{CountedRelation, Database, EncodedDatabase, Relation, Schema, Value};
 use tsens_engine::EngineSession;
 use tsens_server::durability;
@@ -57,32 +62,49 @@ fn base_db() -> Database {
 }
 
 /// Canonical, order-insensitive view of a session — two states are
-/// "the same prefix" iff their fingerprints match. It is read from the
-/// catalog and from the encoding decoded through its dictionary, and
-/// the two must agree: a state whose encoding diverged from its catalog
-/// fails here, whichever side holds the truth.
+/// "the same prefix" iff their fingerprints match. It is the encoding
+/// decoded through its dictionary, and each relation's catalog tuple
+/// count must equal its decoded total: a state whose counts diverged
+/// from its encoding fails here.
 fn fingerprint(session: &EngineSession<'_>) -> Vec<CountedRelation> {
     let enc = session.encoded();
     session
         .database()
         .iter()
         .map(|(i, name, rel)| {
-            let catalog = CountedRelation::from_relation(rel);
             let mut decoded = enc.lifted(i).unwrap().decode(enc.dict());
             decoded.sort();
             assert_eq!(
-                decoded, catalog,
-                "relation {name}: the encoding diverged from the catalog"
+                decoded.total_count(),
+                rel.len() as u128,
+                "relation {name}: the catalog count diverged from the encoding"
             );
-            catalog
+            decoded
         })
         .collect()
 }
 
-/// Apply one batch the way a one-shard `/update` does.
-fn apply_batch(session: &mut EngineSession<'static>, text: &str) {
+/// The fingerprint of a model database: its rows, counted and sorted.
+fn model_fingerprint(model: &Database) -> Vec<CountedRelation> {
+    model
+        .iter()
+        .map(|(_, _, rel)| CountedRelation::from_relation(rel))
+        .collect()
+}
+
+/// Apply one batch the way a one-shard `/update` does, and the same ops
+/// to `model`.
+fn apply_batch(session: &mut EngineSession<'static>, model: &mut Database, text: &str) {
     let ops = parse_ops(session.database(), text).unwrap();
+    for op in &ops {
+        model.apply(op);
+    }
     session.apply_all(ops).unwrap();
+    assert_eq!(
+        fingerprint(session),
+        model_fingerprint(model),
+        "the session diverged from the model after batch {text:?}"
+    );
 }
 
 fn batch_text(batch: &[(u32, u32, u32)]) -> String {
@@ -113,7 +135,8 @@ fn run_batches(
     dir: &Path,
     batches: &[Vec<(u32, u32, u32)>],
 ) -> (PathBuf, Vec<Vec<CountedRelation>>) {
-    let mut session = EngineSession::owned(base_db());
+    let mut model = base_db();
+    let mut session = EngineSession::owned(model.clone());
     let mut st = Store::create(
         dir,
         FsyncPolicy::Off,
@@ -123,12 +146,12 @@ fn run_batches(
         session.encoded(),
     )
     .unwrap();
-    let mut prefixes = vec![fingerprint(&session)];
+    let mut prefixes = vec![model_fingerprint(&model)];
     for batch in batches {
         let text = batch_text(batch);
-        apply_batch(&mut session, &text);
+        apply_batch(&mut session, &mut model, &text);
         st.append_batch(&text).unwrap();
-        prefixes.push(fingerprint(&session));
+        prefixes.push(model_fingerprint(&model));
     }
     st.sync().unwrap();
     (store::wal_path(dir, 1), prefixes)
@@ -226,15 +249,17 @@ proptest! {
     #[test]
     fn snapshot_roundtrip_is_lossless(batches in batches_strategy()) {
         let dir = tmpdir("roundtrip");
-        let mut session = EngineSession::owned(base_db());
+        let mut model = base_db();
+        let mut session = EngineSession::owned(model.clone());
         for batch in &batches {
-            apply_batch(&mut session, &batch_text(batch));
+            apply_batch(&mut session, &mut model, &batch_text(batch));
         }
         let (db, enc) = (session.database(), session.encoded());
         let path = store::save_snapshot(&dir, 7, db, enc).unwrap();
         let loaded = store::load_snapshot(&path).unwrap();
         let reopened = EngineSession::from_encoded(loaded.db.clone(), loaded.enc.clone()).unwrap();
-        prop_assert_eq!(fingerprint(&reopened), fingerprint(&session));
+        prop_assert_eq!(fingerprint(&reopened), model_fingerprint(&model));
+        prop_assert_eq!(loaded.db.total_tuples(), model.total_tuples());
         prop_assert_eq!(loaded.enc.epoch(), enc.epoch());
         prop_assert_eq!(loaded.enc.relation_count(), enc.relation_count());
         for i in 0..enc.relation_count() {
@@ -255,7 +280,8 @@ proptest! {
 #[test]
 fn damaged_newest_snapshot_falls_back_and_replays_both_wals() {
     let dir = tmpdir("ladder");
-    let mut session = EngineSession::owned(base_db());
+    let mut model = base_db();
+    let mut session = EngineSession::owned(model.clone());
     let mut st = Store::create(
         &dir,
         FsyncPolicy::Always,
@@ -266,7 +292,7 @@ fn damaged_newest_snapshot_falls_back_and_replays_both_wals() {
     )
     .unwrap();
 
-    apply_batch(&mut session, "+,R,7,s7");
+    apply_batch(&mut session, &mut model, "+,R,7,s7");
     st.append_batch("+,R,7,s7").unwrap();
 
     // Checkpoint: roll to gen 2 and write its snapshot.
@@ -275,9 +301,9 @@ fn damaged_newest_snapshot_falls_back_and_replays_both_wals() {
     store::save_snapshot(&dir, 2, session.database(), session.encoded()).unwrap();
     st.checkpoint_done().unwrap();
 
-    apply_batch(&mut session, "+,R,8,s8");
+    apply_batch(&mut session, &mut model, "+,R,8,s8");
     st.append_batch("+,R,8,s8").unwrap();
-    let final_state = fingerprint(&session);
+    let final_state = model_fingerprint(&model);
     drop(st);
 
     // Damage the gen-2 snapshot.
@@ -311,5 +337,85 @@ fn next_generation_is_past_everything_seen() {
     drop(st);
     let recovery = durability::recover(&dir).unwrap();
     assert_eq!(recovery.next_generation, 5);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Rewrite section `index` of the snapshot at `path` (0 = catalog,
+/// 1 = dictionary, then one per relation, then meta) through `edit`,
+/// with a freshly computed CRC: damage only the loader's own
+/// consistency checks can catch.
+fn rewrite_section(path: &Path, index: usize, edit: impl FnOnce(&mut Vec<u8>)) {
+    let bytes = std::fs::read(path).unwrap();
+    let (head, rest) = bytes.split_at(16);
+    let mut r = &rest[..rest.len() - 4];
+    let mut sections = Vec::new();
+    while !r.is_empty() {
+        sections.push(read_section(&mut r, "section").unwrap());
+    }
+    edit(&mut sections[index]);
+    let mut out = head.to_vec();
+    for s in &sections {
+        write_section(&mut out, s).unwrap();
+    }
+    out.write_all(&rest[rest.len() - 4..]).unwrap();
+    std::fs::write(path, out).unwrap();
+}
+
+/// The loader's count checks refuse a snapshot whose meta total or
+/// multiplicities disagree with its encoded counts — even under valid
+/// CRCs — and the recovery ladder steps around it: first to the older
+/// generation, then, with every snapshot refused, to the CSV fallback.
+#[test]
+fn count_checks_refuse_tampered_snapshots_and_recovery_steps_around_them() {
+    let dir = tmpdir("counts");
+    let mut model = base_db();
+    let mut session = EngineSession::owned(model.clone());
+    let mut st = Store::create(
+        &dir,
+        FsyncPolicy::Off,
+        u64::MAX,
+        1,
+        session.database(),
+        session.encoded(),
+    )
+    .unwrap();
+    apply_batch(&mut session, &mut model, "+,R,7,s7");
+    st.append_batch("+,R,7,s7").unwrap();
+    st.roll_wal().unwrap();
+    store::save_snapshot(&dir, 2, session.database(), session.encoded()).unwrap();
+    st.checkpoint_done().unwrap();
+    drop(st);
+    let (snap1, snap2) = (store::snapshot_path(&dir, 1), store::snapshot_path(&dir, 2));
+    let meta = 2 + session.database().relation_count();
+    assert_eq!(store::load_snapshot(&snap2).unwrap().db.total_tuples(), 4);
+
+    // A meta total one above the encoded counts.
+    rewrite_section(&snap2, meta, |m| {
+        let total = u64::from_le_bytes(m[8..16].try_into().unwrap());
+        m[8..16].copy_from_slice(&(total + 1).to_le_bytes());
+    });
+    match store::load_snapshot(&snap2) {
+        Err(StoreError::Corrupt(msg)) => assert!(msg.contains("meta recorded 5"), "{msg}"),
+        other => panic!("tampered meta total loaded: {:?}", other.err()),
+    }
+    let recovery = durability::recover(&dir).unwrap();
+    assert_eq!(recovery.report.snapshot_generation, Some(1));
+    assert_eq!(recovery.report.wal_batches_replayed, 1);
+    let recovered = recovery.state.expect("gen 1 still loads");
+    assert_eq!(fingerprint(&recovered), model_fingerprint(&model));
+    assert_eq!(recovered.database().total_tuples(), 4);
+
+    // A multiplicity past every addressable row count: R's first count.
+    rewrite_section(&snap1, 2, |r| {
+        r[20..36].copy_from_slice(&u128::MAX.to_le_bytes())
+    });
+    match store::load_snapshot(&snap1) {
+        Err(StoreError::Corrupt(msg)) => assert!(msg.contains("multiplicity exceeds"), "{msg}"),
+        other => panic!("tampered multiplicity loaded: {:?}", other.err()),
+    }
+    let recovery = durability::recover(&dir).unwrap();
+    assert!(recovery.state.is_none(), "no snapshot is usable");
+    assert_eq!(recovery.report.source, "csv");
+    assert_eq!(recovery.report.snapshots_skipped.len(), 2);
     std::fs::remove_dir_all(&dir).unwrap();
 }

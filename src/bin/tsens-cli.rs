@@ -234,6 +234,10 @@ fn run(args: Args) -> Result<(), String> {
     if let Some(ops_path) = &args.ops {
         let ops = read_ops_file(&db, ops_path)?;
         let total = ops.len();
+        let mut mutated = db.clone();
+        for op in &ops {
+            mutated.apply(op);
+        }
         let t0 = Instant::now();
         let applied = session.apply_all(ops).map_err(|e| e.to_string())?;
         let t_apply = t0.elapsed();
@@ -242,10 +246,11 @@ fn run(args: Args) -> Result<(), String> {
         let report_after = session.tsens(&q, &tree).map_err(|e| e.to_string())?;
         let t_requery = t1.elapsed();
 
-        // Sanity + cost comparison: a from-scratch session on the
-        // mutated catalog must agree, at full re-encoding price.
+        // Sanity + cost comparison: a from-scratch session on the same
+        // deltas applied to the loaded rows must agree, at full
+        // re-encoding price.
         let t2 = Instant::now();
-        let fresh = EngineSession::new(session.database());
+        let fresh = EngineSession::new(&mutated);
         let fresh_count = fresh.count_query(&q, &tree).map_err(|e| e.to_string())?;
         let fresh_ls = fresh
             .tsens(&q, &tree)
